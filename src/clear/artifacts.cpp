@@ -1,14 +1,12 @@
 #include "clear/artifacts.hpp"
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
-#include "common/crc32.hpp"
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/file.hpp"
 #include "common/logging.hpp"
-#include "tensor/serialize.hpp"
 
 namespace clear::core {
 
@@ -18,193 +16,137 @@ namespace fs = std::filesystem;
 
 constexpr std::uint64_t kMetaMagic = 0x434C4541524D4554ull;  // "CLEARMET"
 // v1: raw field stream after the version word (no integrity check).
-// v2: u64 payload length + payload + u64 CRC-32 of the payload. Same field
-//     layout inside the payload, so the parser is shared.
+// v2: the CRC envelope (common/bytes) around the same field layout, so the
+//     parser is shared.
 constexpr std::uint64_t kMetaVersion = 2;
 
-void write_point(std::ostream& os, const cluster::Point& p) {
-  io::write_u64(os, p.size());
-  for (const double v : p) io::write_f64(os, v);
+void put_point(std::string& out, const cluster::Point& p) {
+  put_u64(out, p.size());
+  for (const double v : p) put_f64(out, v);
 }
 
-cluster::Point read_point(std::istream& is) {
-  const std::uint64_t n = io::read_u64(is);
-  CLEAR_CHECK_MSG(n < (1u << 20), "implausible point dimension");
-  cluster::Point p(n);
-  for (double& v : p) v = io::read_f64(is);
+cluster::Point get_point(ByteCursor& in) {
+  cluster::Point p(in.count(in.u64("point dimension"), 8, "point dimension"));
+  for (double& v : p) v = in.f64("point value");
   return p;
 }
 
-void write_index_vector(std::ostream& os, const std::vector<std::size_t>& v) {
-  io::write_u64(os, v.size());
-  for (const std::size_t x : v) io::write_u64(os, x);
+void put_index_vector(std::string& out, const std::vector<std::size_t>& v) {
+  put_u64(out, v.size());
+  for (const std::size_t x : v) put_u64(out, x);
 }
 
-std::vector<std::size_t> read_index_vector(std::istream& is) {
-  const std::uint64_t n = io::read_u64(is);
-  CLEAR_CHECK_MSG(n < (1u << 24), "implausible index vector length");
-  std::vector<std::size_t> v(n);
-  for (std::size_t& x : v) x = io::read_u64(is);
+std::vector<std::size_t> get_index_vector(ByteCursor& in) {
+  std::vector<std::size_t> v(
+      in.count(in.u64("index vector length"), 8, "index vector length"));
+  for (std::size_t& x : v) x = in.u64("index");
   return v;
 }
 
-void write_model_config(std::ostream& os, const nn::CnnLstmConfig& c) {
-  io::write_u64(os, c.feature_dim);
-  io::write_u64(os, c.window_count);
-  io::write_u64(os, c.conv1_channels);
-  io::write_u64(os, c.conv2_channels);
-  io::write_u64(os, c.lstm_hidden);
-  io::write_u64(os, c.n_classes);
-  io::write_f64(os, c.dropout);
-}
-
-nn::CnnLstmConfig read_model_config(std::istream& is) {
-  nn::CnnLstmConfig c;
-  c.feature_dim = io::read_u64(is);
-  c.window_count = io::read_u64(is);
-  c.conv1_channels = io::read_u64(is);
-  c.conv2_channels = io::read_u64(is);
-  c.lstm_hidden = io::read_u64(is);
-  c.n_classes = io::read_u64(is);
-  c.dropout = io::read_f64(is);
-  return c;
-}
-
-void write_meta_payload(std::ostream& os, const ClearConfig& config,
-                        const ClearPipeline::State& state) {
+void put_meta_payload(std::string& out, const ClearConfig& config,
+                      const ClearPipeline::State& state) {
   // Configuration needed to rebuild models and reproduce assignment.
-  write_model_config(os, config.model);
-  io::write_u64(os, config.gc.k);
-  io::write_u64(os, config.gc.sub_clusters);
-  io::write_f64(os, config.ca_fraction);
-  io::write_f64(os, config.ft_fraction);
-  io::write_u64(os, config.seed);
-  io::write_u64(os, config.finetune.epochs);
-  io::write_f64(os, config.finetune.lr);
-  io::write_u64(os, config.finetune.batch_size);
+  const nn::CnnLstmConfig& m = config.model;
+  for (const std::size_t v : {m.feature_dim, m.window_count, m.conv1_channels,
+                              m.conv2_channels, m.lstm_hidden, m.n_classes})
+    put_u64(out, v);
+  put_f64(out, m.dropout);
+  put_u64(out, config.gc.k);
+  put_u64(out, config.gc.sub_clusters);
+  put_f64(out, config.ca_fraction);
+  put_f64(out, config.ft_fraction);
+  put_u64(out, config.seed);
+  put_u64(out, config.finetune.epochs);
+  put_f64(out, config.finetune.lr);
+  put_u64(out, config.finetune.batch_size);
   // Fitted users.
-  write_index_vector(os, state.users);
+  put_index_vector(out, state.users);
   // Normalizer moments.
-  write_point(os, state.normalizer.mean());
-  write_point(os, state.normalizer.stddev());
+  put_point(out, state.normalizer.mean());
+  put_point(out, state.normalizer.stddev());
   // Clustering.
-  write_index_vector(os, state.clustering.user_cluster);
-  io::write_u64(os, state.clustering.clusters.size());
+  put_index_vector(out, state.clustering.user_cluster);
+  put_u64(out, state.clustering.clusters.size());
   for (const cluster::ClusterModel& c : state.clustering.clusters) {
-    write_point(os, c.centroid);
-    io::write_u64(os, c.sub_centroids.size());
-    for (const cluster::Point& sc : c.sub_centroids) write_point(os, sc);
-    write_index_vector(os, c.members);
+    put_point(out, c.centroid);
+    put_u64(out, c.sub_centroids.size());
+    for (const cluster::Point& sc : c.sub_centroids) put_point(out, sc);
+    put_index_vector(out, c.members);
   }
-  io::write_u64(os, state.clustering.rounds_run);
-  io::write_u64(os, state.clustering.converged ? 1 : 0);
+  put_u64(out, state.clustering.rounds_run);
+  put_u64(out, state.clustering.converged ? 1 : 0);
 }
 
-void read_meta_payload(std::istream& is, ClearConfig& config,
-                       ClearPipeline::State& state) {
-  config.model = read_model_config(is);
-  config.gc.k = io::read_u64(is);
-  config.gc.sub_clusters = io::read_u64(is);
-  config.ca_fraction = io::read_f64(is);
-  config.ft_fraction = io::read_f64(is);
-  config.seed = io::read_u64(is);
-  config.finetune.epochs = io::read_u64(is);
-  config.finetune.lr = io::read_f64(is);
-  config.finetune.batch_size = io::read_u64(is);
+void get_meta_payload(ByteCursor& in, ClearConfig& config,
+                      ClearPipeline::State& state) {
+  nn::CnnLstmConfig& m = config.model;
+  for (std::size_t* v : {&m.feature_dim, &m.window_count, &m.conv1_channels,
+                         &m.conv2_channels, &m.lstm_hidden, &m.n_classes})
+    *v = in.u64("model config");
+  m.dropout = in.f64("model dropout");
+  config.gc.k = in.u64("gc.k");
+  config.gc.sub_clusters = in.u64("gc.sub_clusters");
+  config.ca_fraction = in.f64("ca_fraction");
+  config.ft_fraction = in.f64("ft_fraction");
+  config.seed = in.u64("seed");
+  config.finetune.epochs = in.u64("finetune.epochs");
+  config.finetune.lr = in.f64("finetune.lr");
+  config.finetune.batch_size = in.u64("finetune.batch_size");
   // Keep the persisted model geometry (finalize() would overwrite it from
   // the default data config).
   config.data.windows_per_trial = config.model.window_count;
 
-  state.users = read_index_vector(is);
-  cluster::Point mean = read_point(is);
-  cluster::Point stddev = read_point(is);
+  state.users = get_index_vector(in);
+  cluster::Point mean = get_point(in);
+  cluster::Point stddev = get_point(in);
   state.normalizer = features::FeatureNormalizer::from_moments(
       std::move(mean), std::move(stddev));
-  state.clustering.user_cluster = read_index_vector(is);
-  const std::uint64_t n_clusters = io::read_u64(is);
-  CLEAR_CHECK_MSG(n_clusters >= 1 && n_clusters < 256,
-                  "implausible cluster count");
+  state.clustering.user_cluster = get_index_vector(in);
+  const std::uint64_t n_clusters = in.u64("cluster count");
+  in.expect(n_clusters >= 1 && n_clusters < 256, "cluster count",
+            "implausible cluster count");
   for (std::uint64_t k = 0; k < n_clusters; ++k) {
     cluster::ClusterModel c;
-    c.centroid = read_point(is);
-    const std::uint64_t n_sub = io::read_u64(is);
-    CLEAR_CHECK_MSG(n_sub >= 1 && n_sub < 1024,
-                    "implausible sub-cluster count");
+    c.centroid = get_point(in);
+    const std::uint64_t n_sub = in.u64("sub-cluster count");
+    in.expect(n_sub >= 1 && n_sub < 1024, "sub-cluster count",
+              "implausible sub-cluster count");
     for (std::uint64_t i = 0; i < n_sub; ++i)
-      c.sub_centroids.push_back(read_point(is));
-    c.members = read_index_vector(is);
+      c.sub_centroids.push_back(get_point(in));
+    c.members = get_index_vector(in);
     state.clustering.clusters.push_back(std::move(c));
   }
-  state.clustering.rounds_run = io::read_u64(is);
-  state.clustering.converged = io::read_u64(is) != 0;
-}
-
-/// Write `bytes` to `path` atomically: temp file first, then rename. The
-/// rename is the commit point; an injected IO failure before it simulates a
-/// crashed writer leaving only the stale `.tmp` behind.
-void atomic_write(const fs::path& path, const std::string& bytes) {
-  const fs::path tmp = path.string() + ".tmp";
-  fault::maybe_fail_io("artifact write");
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    CLEAR_CHECK_MSG(os.good(), "cannot write " << tmp.string());
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    CLEAR_CHECK_MSG(os.good(), "IO error writing " << tmp.string());
-  }
-  fault::maybe_fail_io("artifact rename");
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  CLEAR_CHECK_MSG(!ec, "cannot commit " << path.string() << ": "
-                                        << ec.message());
+  state.clustering.rounds_run = in.u64("rounds_run");
+  state.clustering.converged = in.u64("converged") != 0;
 }
 
 /// Read a whole file, or return "" when it does not exist / cannot open.
-std::string read_file_bytes(const fs::path& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) return {};
-  return std::string((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
+std::string read_or_empty(const fs::path& path) {
+  return read_file(path.string()).value_or(std::string());
 }
 
 /// Parse and CRC-verify <dir>/pipeline.meta into (config, state). Shared by
 /// the full pipeline restore and the metadata-only serving load.
 void read_meta_file(const fs::path& dir, ClearConfig& config,
                     ClearPipeline::State& state) {
-  std::ifstream meta(dir / "pipeline.meta", std::ios::binary);
-  CLEAR_CHECK_MSG(meta.good(),
-                  "cannot open " << (dir / "pipeline.meta").string());
-  CLEAR_CHECK_MSG(io::read_u64(meta) == kMetaMagic, "bad pipeline.meta magic");
-  const std::uint64_t version = io::read_u64(meta);
-
+  const fs::path path = dir / "pipeline.meta";
+  const std::optional<std::string> bytes = read_file(path.string());
+  CLEAR_CHECK_MSG(bytes.has_value(), "cannot open " << path.string());
+  ByteCursor in(*bytes, "pipeline.meta");
+  in.expect(in.u64("magic") == kMetaMagic, "magic",
+            "bad pipeline.meta magic");
+  const std::uint64_t version = in.u64("version");
   if (version == 1) {
     // Legacy format: raw field stream, no CRC. Parse errors are the only
     // corruption signal available.
-    read_meta_payload(meta, config, state);
+    get_meta_payload(in, config, state);
     return;
   }
-  CLEAR_CHECK_MSG(version == kMetaVersion,
-                  "unsupported pipeline.meta version " << version);
-  const std::uint64_t length = io::read_u64(meta);
-  CLEAR_CHECK_MSG(length < (1ull << 32),
-                  "implausible pipeline.meta payload length " << length);
-  std::string payload(length, '\0');
-  meta.read(payload.data(), static_cast<std::streamsize>(length));
-  const auto got = static_cast<std::uint64_t>(meta.gcount());
-  CLEAR_CHECK_MSG(got == length, "truncated pipeline.meta: payload has "
-                                     << got << " of " << length << " bytes");
-  unsigned char footer[8];
-  meta.read(reinterpret_cast<char*>(footer), 8);
-  CLEAR_CHECK_MSG(meta.gcount() == 8,
-                  "truncated pipeline.meta: missing CRC footer");
-  std::uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i) stored |= std::uint64_t(footer[i]) << (8 * i);
-  const std::uint32_t computed = crc32(payload);
-  CLEAR_CHECK_MSG(stored == computed, "pipeline.meta CRC mismatch: stored "
-                                          << stored << ", computed "
-                                          << computed
-                                          << " (corrupted metadata)");
-  std::istringstream payload_is(payload, std::ios::binary);
-  read_meta_payload(payload_is, config, state);
+  if (version != kMetaVersion)
+    in.fail("version",
+            "unsupported pipeline.meta version " + std::to_string(version));
+  ByteCursor payload(read_crc_envelope(in), "pipeline.meta");
+  get_meta_payload(payload, config, state);
 }
 
 }  // namespace
@@ -219,22 +161,22 @@ void save_pipeline(ClearPipeline& pipeline, const std::string& directory) {
   ClearPipeline::State state = pipeline.export_state();
   const ClearConfig& config = pipeline.config();
 
-  std::ostringstream payload_os(std::ios::binary);
-  write_meta_payload(payload_os, config, state);
-  const std::string payload = payload_os.str();
-  std::ostringstream meta_os(std::ios::binary);
-  io::write_u64(meta_os, kMetaMagic);
-  io::write_u64(meta_os, kMetaVersion);
-  io::write_u64(meta_os, payload.size());
-  meta_os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  io::write_u64(meta_os, crc32(payload));
-  atomic_write(dir / "pipeline.meta", meta_os.str());
+  std::string meta;
+  const std::size_t payload_at =
+      begin_crc_envelope(meta, kMetaMagic, kMetaVersion);
+  put_meta_payload(meta, config, state);
+  end_crc_envelope(meta, payload_at);
+  // Each file is written atomically; an injected IO failure before a
+  // rename simulates a crashed writer leaving only the stale `.tmp`.
+  write_file_atomic((dir / "pipeline.meta").string(), meta, "artifact");
 
   for (std::size_t k = 0; k < state.checkpoints.size(); ++k)
-    atomic_write(dir / ("cluster_" + std::to_string(k) + ".ckpt"),
-                 state.checkpoints[k]);
+    write_file_atomic(
+        (dir / ("cluster_" + std::to_string(k) + ".ckpt")).string(),
+        state.checkpoints[k], "artifact");
   if (!state.general_checkpoint.empty())
-    atomic_write(dir / "general.ckpt", state.general_checkpoint);
+    write_file_atomic((dir / "general.ckpt").string(),
+                      state.general_checkpoint, "artifact");
 }
 
 ClearPipeline load_pipeline(const std::string& directory) {
@@ -247,8 +189,8 @@ ClearPipeline load_pipeline(const std::string& directory) {
   // import_state() degrades it to the general fallback or throws.
   for (std::size_t k = 0; k < state.clustering.clusters.size(); ++k)
     state.checkpoints.push_back(
-        read_file_bytes(dir / ("cluster_" + std::to_string(k) + ".ckpt")));
-  state.general_checkpoint = read_file_bytes(dir / "general.ckpt");
+        read_or_empty(dir / ("cluster_" + std::to_string(k) + ".ckpt")));
+  state.general_checkpoint = read_or_empty(dir / "general.ckpt");
 
   ClearPipeline pipeline(config);
   pipeline.import_state(std::move(state));
@@ -274,13 +216,13 @@ ArtifactMeta load_artifact_meta(const std::string& directory) {
 std::string read_cluster_checkpoint(const std::string& directory,
                                     std::size_t k) {
   fault::maybe_fail_io("checkpoint read");
-  return read_file_bytes(fs::path(directory) /
-                         ("cluster_" + std::to_string(k) + ".ckpt"));
+  return read_or_empty(fs::path(directory) /
+                       ("cluster_" + std::to_string(k) + ".ckpt"));
 }
 
 std::string read_general_checkpoint(const std::string& directory) {
   fault::maybe_fail_io("checkpoint read");
-  return read_file_bytes(fs::path(directory) / "general.ckpt");
+  return read_or_empty(fs::path(directory) / "general.ckpt");
 }
 
 }  // namespace clear::core

@@ -1,138 +1,14 @@
 #include "net/protocol.hpp"
 
-#include <cstring>
 #include <sstream>
 
+#include "common/bytes.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 
 namespace clear::net {
 
 namespace {
-
-// Little-endian scalar writers. Floats move as bit patterns so encode ∘
-// decode is the identity on every value, NaN payloads included.
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u16(std::string& out, std::uint16_t v) {
-  for (int i = 0; i < 2; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-}
-
-void put_i32(std::string& out, std::int32_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
-
-void put_f32(std::string& out, float v) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u32(out, bits);
-}
-
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-/// Bounds-checked little-endian reader over one frame's payload. Reads
-/// never throw; the caller checks ok() / error once at the end (short
-/// reads poison the cursor and record the offending offset).
-class Reader {
- public:
-  Reader(const std::string& bytes, std::string& error)
-      : bytes_(bytes), error_(error) {}
-
-  bool ok() const { return ok_; }
-
-  std::uint8_t u8() { return static_cast<std::uint8_t>(take(1)[0]); }
-
-  std::uint32_t u32() {
-    const char* p = take(4);
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i)
-      v = (v << 8) | static_cast<std::uint8_t>(p[i]);
-    return v;
-  }
-
-  std::uint64_t u64() {
-    const char* p = take(8);
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-      v = (v << 8) | static_cast<std::uint8_t>(p[i]);
-    return v;
-  }
-
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-
-  float f32() {
-    const std::uint32_t bits = u32();
-    float v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-
-  std::string bytes(std::size_t n) {
-    const char* p = take(n);
-    return ok_ ? std::string(p, n) : std::string();
-  }
-
-  bool done() {
-    if (ok_ && pos_ != bytes_.size()) {
-      std::ostringstream os;
-      os << "payload has " << bytes_.size() - pos_
-         << " trailing byte(s) after offset " << pos_;
-      set_error(os.str());
-    }
-    return ok_;
-  }
-
-  void set_error(const std::string& why) {
-    if (!ok_) return;
-    ok_ = false;
-    error_ = why;
-  }
-
- private:
-  const char* take(std::size_t n) {
-    static const char kZeros[8] = {0};
-    if (!ok_) return kZeros;
-    if (n > bytes_.size() - pos_) {
-      std::ostringstream os;
-      os << "payload truncated: need " << n << " byte(s) at offset " << pos_
-         << ", have " << bytes_.size() - pos_;
-      set_error(os.str());
-      return kZeros;
-    }
-    const char* p = bytes_.data() + pos_;
-    pos_ += n;
-    return p;
-  }
-
-  const std::string& bytes_;
-  std::string& error_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
 
 bool known_type(std::uint8_t t) {
   return t >= static_cast<std::uint8_t>(FrameType::kRequest) &&
@@ -204,7 +80,7 @@ std::string encode_request(const WireRequest& request) {
   put_i32(p, request.label.has_value() ? *request.label : -1);
   put_u32(p, static_cast<std::uint32_t>(f));
   put_u32(p, static_cast<std::uint32_t>(w));
-  for (const float v : request.map.flat()) put_f32(p, v);
+  put_f32s(p, request.map.data(), request.map.numel());
   return encode_frame(FrameType::kRequest, p);
 }
 
@@ -223,8 +99,7 @@ std::string encode_response(const WireResponse& response) {
   put_u32(p, response.batch_rows);
   put_u64(p, response.arrival_us);
   put_u64(p, response.exec_us);
-  put_u32(p, static_cast<std::uint32_t>(response.error.size()));
-  p.append(response.error);
+  put_blob32(p, response.error);
   return encode_frame(FrameType::kResponse, p);
 }
 
@@ -269,10 +144,8 @@ std::string encode_session_image(const WireSessionImage& image) {
   p.reserve(20 + image.image.size() + image.checkpoint.size());
   put_u64(p, image.user_id);
   put_u32(p, image.found ? 1 : 0);
-  put_u32(p, static_cast<std::uint32_t>(image.image.size()));
-  p.append(image.image);
-  put_u32(p, static_cast<std::uint32_t>(image.checkpoint.size()));
-  p.append(image.checkpoint);
+  put_blob32(p, image.image);
+  put_blob32(p, image.checkpoint);
   // encode_frame enforces kMaxPayload: a session image plus a smoke-scale
   // personal checkpoint is tens of KiB, far below the 1 MiB frame bound.
   return encode_frame(FrameType::kSessionImage, p);
@@ -283,16 +156,14 @@ std::string encode_import_ack(const WireImportAck& ack) {
   p.reserve(16 + ack.error.size());
   put_u64(p, ack.user_id);
   put_u32(p, ack.ok ? 1 : 0);
-  put_u32(p, static_cast<std::uint32_t>(ack.error.size()));
-  p.append(ack.error);
+  put_blob32(p, ack.error);
   return encode_frame(FrameType::kImportAck, p);
 }
 
 std::string encode_adopt(const std::string& journal_dir) {
   std::string p;
   p.reserve(4 + journal_dir.size());
-  put_u32(p, static_cast<std::uint32_t>(journal_dir.size()));
-  p.append(journal_dir);
+  put_blob32(p, journal_dir);
   return encode_frame(FrameType::kAdopt, p);
 }
 
@@ -338,36 +209,30 @@ DecodeStatus FrameDecoder::next(Frame& out) {
   if (latched_ != DecodeStatus::kNeedMore) return latched_;
   if (buffered() < kHeaderSize) return DecodeStatus::kNeedMore;
   const char* h = buf_.data() + pos_;
-  const auto u32_at = [h](std::size_t off) {
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i)
-      v = (v << 8) | static_cast<std::uint8_t>(h[off + static_cast<std::size_t>(i)]);
-    return v;
-  };
-
-  const std::uint32_t magic = u32_at(0);
+  ByteCursor header(std::string_view(h, kHeaderSize), "frame header");
+  const std::uint32_t magic = header.u32("magic");
   if (magic != kMagic) {
     std::ostringstream os;
     os << "bad magic 0x" << std::hex << magic << " (expected 0x" << kMagic
        << ")";
     return fail(DecodeStatus::kBadMagic, os.str());
   }
-  const auto version = static_cast<std::uint8_t>(h[4]);
+  const std::uint8_t version = header.u8("version");
   if (version != kVersion) {
     std::ostringstream os;
     os << "unsupported version " << static_cast<int>(version) << " (speak "
        << static_cast<int>(kVersion) << ")";
     return fail(DecodeStatus::kBadVersion, os.str());
   }
-  const auto type = static_cast<std::uint8_t>(h[5]);
+  const std::uint8_t type = header.u8("type");
   if (!known_type(type)) {
     std::ostringstream os;
     os << "unknown frame type " << static_cast<int>(type);
     return fail(DecodeStatus::kBadHeader, os.str());
   }
-  if (h[6] != 0 || h[7] != 0)
+  if (header.u16("reserved") != 0)
     return fail(DecodeStatus::kBadHeader, "reserved header bytes are nonzero");
-  const std::uint32_t len = u32_at(8);
+  const std::uint32_t len = header.u32("payload length");
   if (len > max_payload_) {
     std::ostringstream os;
     os << "declared payload length " << len << " exceeds the bound "
@@ -376,7 +241,7 @@ DecodeStatus FrameDecoder::next(Frame& out) {
   }
   if (buffered() < kHeaderSize + len) return DecodeStatus::kNeedMore;
 
-  const std::uint32_t declared_crc = u32_at(12);
+  const std::uint32_t declared_crc = header.u32("payload crc");
   const std::uint32_t actual_crc = crc32(h + kHeaderSize, len);
   if (declared_crc != actual_crc) {
     std::ostringstream os;
@@ -392,224 +257,169 @@ DecodeStatus FrameDecoder::next(Frame& out) {
   return DecodeStatus::kFrame;
 }
 
+namespace {
+
+/// Run one typed payload parser. The cursor throws an addressed
+/// clear::Error at the first malformed field; the wire contract is a bool
+/// plus that message, never a throw.
+template <typename Parse>
+bool parse_payload(const Frame& frame, FrameType type, std::string& error,
+                   Parse parse) {
+  if (frame.type != type) {
+    error = std::string("expected a frame of type ") + frame_type_name(type) +
+            ", got " + frame_type_name(frame.type);
+    return false;
+  }
+  try {
+    ByteCursor in(frame.payload, frame_type_name(type));
+    parse(in);
+    in.done();
+    return true;
+  } catch (const Error& e) {
+    error = e.what();
+    return false;
+  }
+}
+
+bool get_flag(ByteCursor& in, const char* field) {
+  const std::uint32_t v = in.u32(field);
+  if (v > 1) {
+    std::ostringstream os;
+    os << field << " must be 0 or 1; got " << v;
+    in.fail(field, os.str());
+  }
+  return v == 1;
+}
+
+}  // namespace
+
 bool parse_request(const Frame& frame, WireRequest& out, std::string& error) {
-  if (frame.type != FrameType::kRequest) {
-    error = "not a request frame";
-    return false;
-  }
-  Reader r(frame.payload, error);
-  out.request_id = r.u64();
-  out.user_id = r.u64();
-  out.arrival_us = r.u64();
-  out.quality = r.f64();
-  const std::int32_t label = r.i32();
-  const std::uint32_t rows = r.u32();
-  const std::uint32_t cols = r.u32();
-  if (!r.ok()) return false;
-  if (label < -1 || label > 1) {
-    std::ostringstream os;
-    os << "label must be -1 (none), 0, or 1; got " << label;
-    r.set_error(os.str());
-    return false;
-  }
-  out.label = label < 0 ? std::nullopt : std::optional<int>(label);
-  if (rows == 0 || cols == 0) {
-    r.set_error("map dimensions must be nonzero");
-    return false;
-  }
-  const std::uint64_t cells =
-      static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols);
-  // Bound cells by the bytes actually present before any size arithmetic:
-  // rows*cols reaches 2^62, where 44 + 4*cells wraps modulo 2^64 and a
-  // 44-byte payload would masquerade as an astronomically sized map whose
-  // allocation is a one-frame remote crash. The reader already consumed the
-  // 44-byte fixed prefix, so payload.size() >= 44 here.
-  const std::uint64_t map_bytes = frame.payload.size() - 44;
-  if (map_bytes % 4 != 0 || cells != map_bytes / 4) {
-    std::ostringstream os;
-    os << "map declared " << rows << "x" << cols << " (" << cells
-       << " cells) but frame carries " << map_bytes << " map byte(s)";
-    r.set_error(os.str());
-    return false;
-  }
-  out.map = Tensor({rows, cols});
-  for (std::size_t i = 0; i < cells; ++i) out.map[i] = r.f32();
-  return r.done();
+  return parse_payload(frame, FrameType::kRequest, error, [&](ByteCursor& in) {
+    out.request_id = in.u64("request_id");
+    out.user_id = in.u64("user_id");
+    out.arrival_us = in.u64("arrival_us");
+    out.quality = in.f64("quality");
+    const std::int32_t label = in.i32("label");
+    if (label < -1 || label > 1)
+      in.fail("label", "label must be -1 (none), 0, or 1; got " +
+                           std::to_string(label));
+    out.label = label < 0 ? std::nullopt : std::optional<int>(label);
+    const std::uint32_t rows = in.u32("rows");
+    const std::uint32_t cols = in.u32("cols");
+    in.expect(rows != 0 && cols != 0, "map",
+              "map dimensions must be nonzero");
+    // Bound cells by the bytes actually present before any size
+    // arithmetic: rows*cols reaches 2^62, where 4*cells wraps modulo 2^64
+    // and a short payload would masquerade as an astronomically sized map.
+    const std::uint64_t cells =
+        static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols);
+    if (in.remaining() % 4 != 0 || cells != in.remaining() / 4) {
+      std::ostringstream os;
+      os << "map declared " << rows << "x" << cols << " (" << cells
+         << " cells) but frame carries " << in.remaining() << " map byte(s)";
+      in.fail("map", os.str());
+    }
+    out.map = Tensor({rows, cols});
+    in.f32s(out.map.data(), out.map.numel(), "map");
+  });
 }
 
 bool parse_response(const Frame& frame, WireResponse& out,
                     std::string& error) {
-  if (frame.type != FrameType::kResponse) {
-    error = "not a response frame";
-    return false;
-  }
-  Reader r(frame.payload, error);
-  out.request_id = r.u64();
-  out.user_id = r.u64();
-  const std::uint32_t status = r.u32();
-  out.predicted = r.i32();
-  out.fear_probability = r.f32();
-  out.session_state = r.u32();
-  const std::uint32_t degraded = r.u32();
-  out.route_kind = r.u32();
-  out.route_id = r.u64();
-  out.batch_rows = r.u32();
-  out.arrival_us = r.u64();
-  out.exec_us = r.u64();
-  const std::uint32_t error_len = r.u32();
-  if (!r.ok()) return false;
-  if (status > 1) {
-    std::ostringstream os;
-    os << "status must be 0 (ok) or 1 (shed); got " << status;
-    r.set_error(os.str());
-    return false;
-  }
-  if (degraded > 1) {
-    std::ostringstream os;
-    os << "degraded must be 0 or 1; got " << degraded;
-    r.set_error(os.str());
-    return false;
-  }
-  out.shed = status == 1;
-  out.degraded = degraded == 1;
-  out.error = r.bytes(error_len);
-  return r.done();
+  return parse_payload(frame, FrameType::kResponse, error, [&](ByteCursor& in) {
+    out.request_id = in.u64("request_id");
+    out.user_id = in.u64("user_id");
+    const std::uint32_t status = in.u32("status");
+    if (status > 1)
+      in.fail("status", "status must be 0 (ok) or 1 (shed); got " +
+                            std::to_string(status));
+    out.shed = status == 1;
+    out.predicted = in.i32("predicted");
+    out.fear_probability = in.f32("fear_probability");
+    out.session_state = in.u32("session_state");
+    out.degraded = get_flag(in, "degraded");
+    out.route_kind = in.u32("route_kind");
+    out.route_id = in.u64("route_id");
+    out.batch_rows = in.u32("batch_rows");
+    out.arrival_us = in.u64("arrival_us");
+    out.exec_us = in.u64("exec_us");
+    out.error = in.blob32("error");
+  });
 }
 
 bool parse_drain_ack(const Frame& frame, WireDrainAck& out,
                      std::string& error) {
-  if (frame.type != FrameType::kDrainAck) {
-    error = "not a drain-ack frame";
-    return false;
-  }
-  Reader r(frame.payload, error);
-  out.requests = r.u64();
-  out.ok = r.u64();
-  out.shed = r.u64();
-  return r.done();
+  return parse_payload(frame, FrameType::kDrainAck, error, [&](ByteCursor& in) {
+    out.requests = in.u64("requests");
+    out.ok = in.u64("ok");
+    out.shed = in.u64("shed");
+  });
 }
 
 bool parse_ping(const Frame& frame, std::uint64_t& nonce, std::string& error) {
-  if (frame.type != FrameType::kPing) {
-    error = "not a ping frame";
-    return false;
-  }
-  Reader r(frame.payload, error);
-  nonce = r.u64();
-  return r.done();
+  return parse_payload(frame, FrameType::kPing, error,
+                       [&](ByteCursor& in) { nonce = in.u64("nonce"); });
 }
 
 bool parse_pong(const Frame& frame, WirePong& out, std::string& error) {
-  if (frame.type != FrameType::kPong) {
-    error = "not a pong frame";
-    return false;
-  }
-  Reader r(frame.payload, error);
-  out.nonce = r.u64();
-  out.sessions = r.u64();
-  return r.done();
+  return parse_payload(frame, FrameType::kPong, error, [&](ByteCursor& in) {
+    out.nonce = in.u64("nonce");
+    out.sessions = in.u64("sessions");
+  });
 }
 
 bool parse_export(const Frame& frame, std::uint64_t& user_id,
                   std::string& error) {
-  if (frame.type != FrameType::kExport) {
-    error = "not an export frame";
-    return false;
-  }
-  Reader r(frame.payload, error);
-  user_id = r.u64();
-  return r.done();
+  return parse_payload(frame, FrameType::kExport, error,
+                       [&](ByteCursor& in) { user_id = in.u64("user_id"); });
 }
 
 bool parse_session_image(const Frame& frame, WireSessionImage& out,
                          std::string& error) {
-  if (frame.type != FrameType::kSessionImage) {
-    error = "not a session-image frame";
-    return false;
-  }
-  Reader r(frame.payload, error);
-  out.user_id = r.u64();
-  const std::uint32_t found = r.u32();
-  if (!r.ok()) return false;
-  if (found > 1) {
-    std::ostringstream os;
-    os << "found must be 0 or 1; got " << found;
-    r.set_error(os.str());
-    return false;
-  }
-  out.found = found == 1;
-  const std::uint32_t image_len = r.u32();
-  out.image = r.bytes(image_len);
-  const std::uint32_t ckpt_len = r.u32();
-  out.checkpoint = r.bytes(ckpt_len);
-  if (!r.done()) return false;
-  if (out.found && out.image.empty()) {
-    r.set_error("found session carries no image bytes");
-    return false;
-  }
-  return true;
+  return parse_payload(
+      frame, FrameType::kSessionImage, error, [&](ByteCursor& in) {
+        out.user_id = in.u64("user_id");
+        out.found = get_flag(in, "found");
+        out.image = in.blob32("image");
+        out.checkpoint = in.blob32("checkpoint");
+        in.expect(!out.found || !out.image.empty(), "image",
+                  "found session carries no image bytes");
+      });
 }
 
 bool parse_import_ack(const Frame& frame, WireImportAck& out,
                       std::string& error) {
-  if (frame.type != FrameType::kImportAck) {
-    error = "not an import-ack frame";
-    return false;
-  }
-  Reader r(frame.payload, error);
-  out.user_id = r.u64();
-  const std::uint32_t ok = r.u32();
-  if (!r.ok()) return false;
-  if (ok > 1) {
-    std::ostringstream os;
-    os << "ok must be 0 or 1; got " << ok;
-    r.set_error(os.str());
-    return false;
-  }
-  out.ok = ok == 1;
-  const std::uint32_t error_len = r.u32();
-  out.error = r.bytes(error_len);
-  return r.done();
+  return parse_payload(frame, FrameType::kImportAck, error, [&](ByteCursor& in) {
+    out.user_id = in.u64("user_id");
+    out.ok = get_flag(in, "ok");
+    out.error = in.blob32("error");
+  });
 }
 
 bool parse_adopt(const Frame& frame, std::string& journal_dir,
                  std::string& error) {
-  if (frame.type != FrameType::kAdopt) {
-    error = "not an adopt frame";
-    return false;
-  }
-  Reader r(frame.payload, error);
-  const std::uint32_t dir_len = r.u32();
-  journal_dir = r.bytes(dir_len);
-  if (!r.done()) return false;
-  if (journal_dir.empty()) {
-    r.set_error("adopt names an empty journal directory");
-    return false;
-  }
-  return true;
+  return parse_payload(frame, FrameType::kAdopt, error, [&](ByteCursor& in) {
+    journal_dir = in.blob32("journal_dir");
+    in.expect(!journal_dir.empty(), "journal_dir",
+              "adopt names an empty journal directory");
+  });
 }
 
 bool parse_adopt_ack(const Frame& frame, WireAdoptAck& out,
                      std::string& error) {
-  if (frame.type != FrameType::kAdoptAck) {
-    error = "not an adopt-ack frame";
-    return false;
-  }
-  Reader r(frame.payload, error);
-  out.sessions = r.u64();
-  out.personalized = r.u64();
-  out.failed = r.u64();
-  return r.done();
+  return parse_payload(frame, FrameType::kAdoptAck, error, [&](ByteCursor& in) {
+    out.sessions = in.u64("sessions");
+    out.personalized = in.u64("personalized");
+    out.failed = in.u64("failed");
+  });
 }
 
 bool parse_metrics_json(const Frame& frame, std::string& json,
                         std::string& error) {
-  if (frame.type != FrameType::kMetricsJson) {
-    error = "not a metrics-json frame";
-    return false;
-  }
-  json = frame.payload;
-  return true;
+  return parse_payload(frame, FrameType::kMetricsJson, error,
+                       [&](ByteCursor& in) {
+                         json = in.take(in.remaining(), "json");
+                       });
 }
 
 }  // namespace clear::net

@@ -1,125 +1,146 @@
 #include "nn/checkpoint.hpp"
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <algorithm>
+#include <istream>
+#include <ostream>
+#include <utility>
 
-#include "common/crc32.hpp"
+#include "common/bytes.hpp"
 #include "common/error.hpp"
-#include "common/fault.hpp"
+#include "common/file.hpp"
 #include "tensor/serialize.hpp"
 
 namespace clear::nn {
 
 namespace {
+
 constexpr std::uint64_t kCheckpointMagicV1 = 0x434C454152434B50ull;  // "CLEARCKP"
-constexpr std::uint64_t kCheckpointMagicV2 = 0x434C454152434B32ull;  // "CLEARCK2"
 constexpr std::uint64_t kCheckpointVersion = 2;
 
-void write_payload(std::ostream& os, Sequential& model) {
-  const std::vector<Param*> params = model.parameters();
-  io::write_u64(os, params.size());
-  for (const Param* p : params) {
-    io::write_string(os, p->name);
-    io::write_tensor(os, p->value);
-  }
-}
+/// payload := u64 count, count × (u64 name_len, name bytes, CTSR tensor).
+/// Entries point at tensors their caller owns, so encoding a model's
+/// weights copies them once, into the blob.
+using EntryRef = std::pair<std::string_view, const Tensor*>;
 
-void read_payload(std::istream& is, Sequential& model) {
-  const std::vector<Param*> params = model.parameters();
-  const std::uint64_t count = io::read_u64(is);
-  CLEAR_CHECK_MSG(count == params.size(),
-                  "checkpoint parameter count mismatch: file has "
-                      << count << ", model has " << params.size());
-  for (Param* p : params) {
-    const std::string name = io::read_string(is);
-    CLEAR_CHECK_MSG(name == p->name, "checkpoint parameter name mismatch: "
-                                         << name << " vs " << p->name);
-    Tensor t = io::read_tensor(is);
-    CLEAR_CHECK_MSG(t.same_shape(p->value),
-                    "checkpoint shape mismatch for " << name << ": "
-                        << t.shape_str() << " vs " << p->value.shape_str());
-    p->value = std::move(t);
+std::string encode_entries(const std::vector<EntryRef>& entries,
+                           CheckpointFormat format) {
+  std::size_t estimate = 40;
+  for (const auto& [name, value] : entries)
+    estimate += 32 + name.size() + 8 * value->rank() +
+                sizeof(float) * value->numel();
+  std::string out;
+  out.reserve(estimate);
+  std::size_t payload_at = 0;
+  if (format == CheckpointFormat::kLegacyV1)
+    put_u64(out, kCheckpointMagicV1);
+  else
+    payload_at = begin_crc_envelope(out, kCheckpointMagicV2,
+                                    kCheckpointVersion);
+  put_u64(out, entries.size());
+  for (const auto& [name, value] : entries) {
+    put_blob64(out, name);
+    put_tensor(out, *value);
   }
+  if (format == CheckpointFormat::kCrcV2) end_crc_envelope(out, payload_at);
+  return out;
 }
 
 }  // namespace
 
-void save_checkpoint(std::ostream& os, Sequential& model,
-                     CheckpointFormat format) {
-  if (format == CheckpointFormat::kLegacyV1) {
-    io::write_u64(os, kCheckpointMagicV1);
-    write_payload(os, model);
-    return;
-  }
-  std::ostringstream payload_os(std::ios::binary);
-  write_payload(payload_os, model);
-  const std::string payload = payload_os.str();
-  io::write_u64(os, kCheckpointMagicV2);
-  io::write_u64(os, kCheckpointVersion);
-  io::write_u64(os, payload.size());
-  os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  io::write_u64(os, crc32(payload));
+std::string encode_checkpoint(const std::vector<NamedTensor>& params,
+                              CheckpointFormat format) {
+  std::vector<EntryRef> entries;
+  for (const NamedTensor& p : params) entries.emplace_back(p.name, &p.value);
+  return encode_entries(entries, format);
 }
 
-void save_checkpoint_file(const std::string& path, Sequential& model) {
-  namespace fs = std::filesystem;
-  const std::string tmp = path + ".tmp";
-  fault::maybe_fail_io("checkpoint open");
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    CLEAR_CHECK_MSG(os.good(), "cannot open checkpoint for writing: " << tmp);
-    save_checkpoint(os, model);
-    CLEAR_CHECK_MSG(os.good(), "IO error writing checkpoint: " << tmp);
-  }
-  // The guarded rename is the commit point: an injected failure here
-  // simulates a crash that leaves only the temp file behind.
-  fault::maybe_fail_io("checkpoint rename");
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  CLEAR_CHECK_MSG(!ec, "cannot commit checkpoint " << path << ": "
-                                                   << ec.message());
-}
-
-void load_checkpoint(std::istream& is, Sequential& model) {
-  const std::uint64_t magic = io::read_u64(is);
+std::vector<NamedTensor> decode_checkpoint(std::string_view blob,
+                                           bool verify_crc) {
+  ByteCursor in(blob, "checkpoint");
+  const std::uint64_t magic = in.u64("magic");
+  std::string_view payload;
   if (magic == kCheckpointMagicV1) {
     // Pre-integrity format: no length, no CRC. Parse errors are the only
     // corruption signal we can give.
-    read_payload(is, model);
-    return;
+    payload = blob.substr(in.pos());
+  } else {
+    in.expect(magic == kCheckpointMagicV2, "magic", "bad checkpoint magic");
+    const std::uint64_t version = in.u64("version");
+    if (version != kCheckpointVersion)
+      in.fail("version",
+              "unsupported checkpoint version " + std::to_string(version));
+    payload = read_crc_envelope(in, verify_crc);
   }
-  CLEAR_CHECK_MSG(magic == kCheckpointMagicV2, "bad checkpoint magic");
-  const std::uint64_t version = io::read_u64(is);
-  CLEAR_CHECK_MSG(version == kCheckpointVersion,
-                  "unsupported checkpoint version " << version);
-  const std::uint64_t length = io::read_u64(is);
-  CLEAR_CHECK_MSG(length < (1ull << 32),
-                  "implausible checkpoint payload length " << length);
-  std::string payload(length, '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(length));
-  const auto got = static_cast<std::uint64_t>(is.gcount());
-  CLEAR_CHECK_MSG(got == length, "truncated checkpoint: payload has "
-                                     << got << " of " << length << " bytes");
-  unsigned char footer[8];
-  is.read(reinterpret_cast<char*>(footer), 8);
-  CLEAR_CHECK_MSG(is.gcount() == 8,
-                  "truncated checkpoint: missing CRC footer");
-  std::uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i) stored |= std::uint64_t(footer[i]) << (8 * i);
-  const std::uint32_t computed = crc32(payload);
-  CLEAR_CHECK_MSG(stored == computed,
-                  "checkpoint CRC mismatch: stored " << stored << ", computed "
-                                                     << computed
-                                                     << " (corrupted blob)");
-  std::istringstream payload_is(payload, std::ios::binary);
-  read_payload(payload_is, model);
+  ByteCursor p(payload, "checkpoint payload");
+  // Each entry holds at least a u64 name length and a 16-byte tensor head.
+  const std::size_t count = p.count(p.u64("count"), 24, "count");
+  std::vector<NamedTensor> out(count);
+  for (NamedTensor& e : out) {
+    e.name = std::string(p.blob64("parameter name"));
+    e.value = get_tensor(p);
+  }
+  return out;
+}
+
+std::string checkpoint_blob(Sequential& model, CheckpointFormat format) {
+  std::vector<EntryRef> entries;
+  for (const Param* p : model.parameters())
+    entries.emplace_back(p->name, &p->value);
+  return encode_entries(entries, format);
+}
+
+void save_checkpoint(std::ostream& os, Sequential& model,
+                     CheckpointFormat format) {
+  const std::string blob = checkpoint_blob(model, format);
+  os.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  CLEAR_CHECK_MSG(os.good(), "IO error writing checkpoint");
+}
+
+void save_checkpoint_file(const std::string& path, Sequential& model) {
+  // The guarded rename is the commit point: an injected failure there
+  // simulates a crash that leaves only the temp file behind.
+  write_file_atomic(path, checkpoint_blob(model), "checkpoint");
+}
+
+void load_checkpoint_blob(std::string_view blob, Sequential& model) {
+  std::vector<NamedTensor> entries = decode_checkpoint(blob);
+  const std::vector<Param*> params = model.parameters();
+  CLEAR_CHECK_MSG(entries.size() == params.size(),
+                  "checkpoint parameter count mismatch: file has "
+                      << entries.size() << ", model has " << params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    Param* p = params[i];
+    NamedTensor& e = entries[i];
+    CLEAR_CHECK_MSG(e.name == p->name, "checkpoint parameter name mismatch: "
+                                           << e.name << " vs " << p->name);
+    CLEAR_CHECK_MSG(e.value.same_shape(p->value),
+                    "checkpoint shape mismatch for "
+                        << e.name << ": " << e.value.shape_str() << " vs "
+                        << p->value.shape_str());
+    p->value = std::move(e.value);
+  }
+}
+
+void load_checkpoint(std::istream& is, Sequential& model) {
+  // The rest of the stream, in as few bulk reads as its buffer allows (a
+  // string stream hands over everything in the first one).
+  std::string blob;
+  std::streambuf* buf = is.rdbuf();
+  for (std::streamsize got = 1; got > 0;) {
+    const std::size_t at = blob.size();
+    blob.resize(at + static_cast<std::size_t>(
+                         std::max<std::streamsize>(buf->in_avail(), 4096)));
+    got = buf->sgetn(blob.data() + at, static_cast<std::streamsize>(
+                                           blob.size() - at));
+    blob.resize(at + static_cast<std::size_t>(got));
+  }
+  load_checkpoint_blob(blob, model);
 }
 
 void load_checkpoint_file(const std::string& path, Sequential& model) {
-  std::ifstream is(path, std::ios::binary);
-  CLEAR_CHECK_MSG(is.good(), "cannot open checkpoint: " << path);
-  load_checkpoint(is, model);
+  const std::optional<std::string> blob = read_file(path);
+  CLEAR_CHECK_MSG(blob.has_value(), "cannot open checkpoint: " << path);
+  load_checkpoint_blob(*blob, model);
 }
 
 std::vector<Tensor> snapshot_parameters(Sequential& model) {

@@ -17,8 +17,11 @@
 // crashed writer can never leave a half-written checkpoint at `path`.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "nn/sequential.hpp"
 
@@ -28,15 +31,40 @@ namespace clear::nn {
 /// tests can produce pre-integrity-era files.
 enum class CheckpointFormat { kLegacyV1, kCrcV2 };
 
+/// Leading u64 of a v2 blob ("CLEARCK2"); the delta codec sniffs it.
+inline constexpr std::uint64_t kCheckpointMagicV2 = 0x434C454152434B32ull;
+
 /// Serialize all parameter values of `model` to a binary stream/file.
 void save_checkpoint(std::ostream& os, Sequential& model,
                      CheckpointFormat format = CheckpointFormat::kCrcV2);
 void save_checkpoint_file(const std::string& path, Sequential& model);
+/// The bytes save_checkpoint writes.
+std::string checkpoint_blob(Sequential& model,
+                            CheckpointFormat format = CheckpointFormat::kCrcV2);
 
 /// Restore parameter values in place (accepts v1 and v2 blobs). Throws
 /// clear::Error on any mismatch, truncation, or CRC failure.
 void load_checkpoint(std::istream& is, Sequential& model);
 void load_checkpoint_file(const std::string& path, Sequential& model);
+void load_checkpoint_blob(std::string_view blob, Sequential& model);
+
+// -- The codec without a model (the serve-side delta store) -----------------
+
+/// One (name, tensor) entry of a checkpoint payload.
+struct NamedTensor {
+  std::string name;
+  Tensor value;
+};
+
+/// The checkpoint blob of `params`, in parameter order.
+std::string encode_checkpoint(const std::vector<NamedTensor>& params,
+                              CheckpointFormat format = CheckpointFormat::kCrcV2);
+
+/// Every entry of a v1 or v2 blob. `verify_crc` false skips the v2 payload
+/// CRC pass — only for callers whose own end-to-end check still catches a
+/// corrupt input.
+std::vector<NamedTensor> decode_checkpoint(std::string_view blob,
+                                           bool verify_crc = true);
 
 /// In-memory snapshot of parameter values (used to keep the best epoch).
 std::vector<Tensor> snapshot_parameters(Sequential& model);

@@ -5,26 +5,20 @@
 #include <cstring>
 #include <limits>
 #include <map>
-#include <sstream>
 #include <vector>
 
 #include "artifact/store.hpp"
+#include "common/bytes.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "edge/quantize.hpp"
+#include "nn/checkpoint.hpp"
 #include "tensor/kernels/kernels.hpp"
-#include "tensor/serialize.hpp"
 #include "tensor/tensor.hpp"
 
 namespace clear::serve::delta {
 
 namespace {
-
-// Checkpoint container magics (mirrors src/nn/checkpoint.cpp; the codec
-// parses and re-emits checkpoint blobs without a model to validate against).
-constexpr std::uint64_t kCkptMagicV1 = 0x434C454152434B50ull;  // "CLEARCKP"
-constexpr std::uint64_t kCkptMagicV2 = 0x434C454152434B32ull;  // "CLEARCK2"
-constexpr std::uint64_t kCkptVersion = 2;
 
 constexpr std::uint32_t kDeltaCodecVersion = 1;
 
@@ -40,101 +34,7 @@ enum class Enc : std::uint8_t {
   kGrid8 = 4,
 };
 
-struct NamedTensor {
-  std::string name;
-  Tensor value;
-};
-
-// -- Checkpoint blob <-> named tensors ---------------------------------------
-
-/// `verify_crc` false skips the v2 payload-CRC pass — safe only when a
-/// later end-to-end check (the reconstruction's full-blob CRC in decode())
-/// still catches a corrupt input, and worth one full digest pass per cold
-/// load.
-std::vector<NamedTensor> parse_checkpoint(const std::string& blob,
-                                          bool verify_crc = true) {
-  std::istringstream is(blob, std::ios::binary);
-  const std::uint64_t magic = io::read_u64(is);
-  std::string payload;
-  if (magic == kCkptMagicV1) {
-    payload = blob.substr(8);
-  } else {
-    CLEAR_CHECK_MSG(magic == kCkptMagicV2, "bad checkpoint magic");
-    const std::uint64_t version = io::read_u64(is);
-    CLEAR_CHECK_MSG(version == kCkptVersion,
-                    "unsupported checkpoint version " << version);
-    const std::uint64_t length = io::read_u64(is);
-    CLEAR_CHECK_MSG(length < (1ull << 32),
-                    "implausible checkpoint payload length " << length);
-    payload.resize(length);
-    is.read(payload.data(), static_cast<std::streamsize>(length));
-    CLEAR_CHECK_MSG(static_cast<std::uint64_t>(is.gcount()) == length,
-                    "truncated checkpoint payload");
-    const std::uint64_t stored = io::read_u64(is);
-    CLEAR_CHECK_MSG(!verify_crc || stored == crc32(payload),
-                    "checkpoint CRC mismatch");
-  }
-  std::istringstream ps(payload, std::ios::binary);
-  const std::uint64_t count = io::read_u64(ps);
-  CLEAR_CHECK_MSG(count < (1ull << 20),
-                  "implausible checkpoint parameter count " << count);
-  std::vector<NamedTensor> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    NamedTensor nt;
-    nt.name = io::read_string(ps);
-    nt.value = io::read_tensor(ps);
-    out.push_back(std::move(nt));
-  }
-  return out;
-}
-
-// Tensor wire constants, mirroring tensor/serialize.cpp ('CTSR' v1). A
-// divergence cannot corrupt data: encode() bails to full storage when its
-// re-serialization is not byte-identical to the input, and decode() checks
-// the reconstruction against the stored full-blob CRC.
-constexpr std::uint32_t kTensorWireMagic = 0x43545352;
-constexpr std::uint32_t kTensorWireVersion = 1;
-
-template <typename T>
-void append_raw(std::string& out, T v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-/// Byte-identical to nn::save_checkpoint at format kCrcV2 — the
-/// reconstruction target the full-blob CRC in delta.meta is checked
-/// against. Built by direct string append rather than ostringstream: this
-/// runs on every cold load and the stream double-buffering dominated it in
-/// profiles.
-std::string serialize_v2(const std::vector<NamedTensor>& params) {
-  std::string out;
-  std::size_t est = 32 + 8;
-  for (const NamedTensor& p : params)
-    est += 8 + p.name.size() + 16 + p.value.rank() * 8 +
-           p.value.numel() * sizeof(float);
-  out.reserve(est);
-  append_raw(out, kCkptMagicV2);
-  append_raw(out, kCkptVersion);
-  append_raw(out, std::uint64_t{0});  // payload length, patched below
-  const std::size_t payload_at = out.size();
-  append_raw(out, static_cast<std::uint64_t>(params.size()));
-  for (const NamedTensor& p : params) {
-    append_raw(out, static_cast<std::uint64_t>(p.name.size()));
-    out.append(p.name);
-    append_raw(out, kTensorWireMagic);
-    append_raw(out, kTensorWireVersion);
-    append_raw(out, static_cast<std::uint64_t>(p.value.rank()));
-    for (std::size_t d = 0; d < p.value.rank(); ++d)
-      append_raw(out, static_cast<std::uint64_t>(p.value.extent(d)));
-    out.append(reinterpret_cast<const char*>(p.value.data()),
-               p.value.numel() * sizeof(float));
-  }
-  const std::uint64_t length = out.size() - payload_at;
-  std::memcpy(out.data() + 16, &length, sizeof(length));
-  append_raw(out, static_cast<std::uint64_t>(
-                      crc32(out.data() + payload_at, length)));
-  return out;
-}
+using nn::NamedTensor;
 
 /// Identity digest of a checkpoint blob. NOT plain crc32(blob): a v2
 /// checkpoint ends in its own CRC-32 footer, and `m ++ crc32(m)` is a CRC
@@ -147,14 +47,14 @@ std::string serialize_v2(const std::vector<NamedTensor>& params) {
 /// the blob) — reading it costs nothing, where recomputing is a full pass
 /// per cold load. Trusting the stored footer is sound because decode()'s
 /// final check compares meta.full_crc against a footer *recomputed* by
-/// serialize_v2 from the reconstructed payload: any base or container
+/// nn::encode_checkpoint from the reconstructed payload: any base or container
 /// damage perturbs the reconstruction and fails that check.
 std::uint32_t blob_fingerprint(const std::string& blob) {
   if (blob.size() >= 32) {
     std::uint64_t magic = 0;
     for (int i = 7; i >= 0; --i)
       magic = (magic << 8) | static_cast<unsigned char>(blob[i]);
-    if (magic == kCkptMagicV2) {
+    if (magic == nn::kCheckpointMagicV2) {
       std::uint64_t footer = 0;
       for (int i = 7; i >= 0; --i)
         footer = (footer << 8) |
@@ -230,23 +130,19 @@ float float_from_half(std::uint16_t h) {
 
 void put_varint(std::string& out, std::uint64_t v) {
   while (v >= 0x80u) {
-    artifact::put_u8(out, static_cast<std::uint8_t>((v & 0x7Fu) | 0x80u));
+    put_u8(out, static_cast<std::uint8_t>((v & 0x7Fu) | 0x80u));
     v >>= 7;
   }
-  artifact::put_u8(out, static_cast<std::uint8_t>(v));
+  put_u8(out, static_cast<std::uint8_t>(v));
 }
 
-std::uint64_t get_varint(std::string_view in, std::size_t& pos) {
+std::uint64_t get_varint(ByteCursor& in) {
   std::uint64_t v = 0;
-  int shift = 0;
-  for (;;) {
-    CLEAR_CHECK_MSG(pos < in.size(),
-                    "delta payload truncated in a varint at offset " << pos);
-    CLEAR_CHECK_MSG(shift < 64, "delta varint overruns 64 bits");
-    const std::uint8_t b = static_cast<std::uint8_t>(in[pos++]);
+  for (int shift = 0;; shift += 7) {
+    in.expect(shift < 64, "varint", "varint overruns 64 bits");
+    const std::uint8_t b = in.u8("varint");
     v |= std::uint64_t(b & 0x7Fu) << shift;
     if ((b & 0x80u) == 0) return v;
-    shift += 7;
   }
 }
 
@@ -270,45 +166,38 @@ std::string encode_residuals(const std::vector<std::int64_t>& r) {
       bitmap[i >> 3] |= static_cast<char>(1u << (i & 7u));
       ++nnz;
     }
-  artifact::put_u64(out, nnz);
+  put_u64(out, nnz);
   out += bitmap;
   for (std::size_t i = 0; i < n; ++i)
     if (r[i] != 0) put_varint(out, zigzag(r[i]));
   return out;
 }
 
-/// Decode one residual stream starting at `pos`, advancing it. Callers with
-/// a single stream use decode_residuals() below, which also rejects
-/// trailing bytes.
-std::vector<std::int64_t> decode_residuals_at(std::string_view payload,
-                                              std::size_t& pos,
-                                              std::size_t n) {
-  const std::uint64_t nnz = artifact::get_u64(payload, pos, "delta residuals");
-  const std::size_t bitmap_bytes = (n + 7) / 8;
-  CLEAR_CHECK_MSG(pos + bitmap_bytes <= payload.size(),
-                  "delta residual bitmap truncated at offset " << pos);
-  const std::string_view bitmap = payload.substr(pos, bitmap_bytes);
-  pos += bitmap_bytes;
+/// Decode one residual stream from `in`, advancing it. Callers with a
+/// single stream use decode_residuals() below, which also rejects trailing
+/// bytes.
+std::vector<std::int64_t> decode_residuals_at(ByteCursor& in, std::size_t n) {
+  const std::uint64_t nnz = in.u64("residual count");
+  const std::string_view bitmap = in.take((n + 7) / 8, "residual bitmap");
   std::vector<std::int64_t> r(n, 0);
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < n; ++i)
     if (bitmap[i >> 3] & (1u << (i & 7u))) {
-      r[i] = unzigzag(get_varint(payload, pos));
+      r[i] = unzigzag(get_varint(in));
       ++seen;
     }
-  CLEAR_CHECK_MSG(seen == nnz, "delta residual bitmap claims "
-                                   << seen << " nonzeros, header says "
-                                   << nnz);
+  if (seen != nnz)
+    in.fail("residual bitmap", "bitmap claims " + std::to_string(seen) +
+                                   " nonzeros, header says " +
+                                   std::to_string(nnz));
   return r;
 }
 
 std::vector<std::int64_t> decode_residuals(std::string_view payload,
                                            std::size_t n) {
-  std::size_t pos = 0;
-  std::vector<std::int64_t> r = decode_residuals_at(payload, pos, n);
-  CLEAR_CHECK_MSG(pos == payload.size(),
-                  "delta residual payload has " << (payload.size() - pos)
-                                                << " trailing bytes");
+  ByteCursor in(payload, "delta residuals");
+  std::vector<std::int64_t> r = decode_residuals_at(in, n);
+  in.done();
   return r;
 }
 
@@ -416,31 +305,33 @@ std::string encode_dense_residuals(const std::vector<std::int64_t>& r,
   return out;
 }
 
-/// Inverse of encode_dense_residuals, consuming from `pos`. Fills both the
+/// Inverse of encode_dense_residuals, consuming from `in`. Fills both the
 /// residuals and the sign-of-zero flags.
-void decode_dense_residuals(std::string_view payload, std::size_t& pos,
-                            std::size_t n, std::vector<std::int64_t>& r,
+void decode_dense_residuals(ByteCursor& in, std::size_t n,
+                            std::vector<std::int64_t>& r,
                             std::vector<std::int64_t>& neg_zero) {
-  const std::uint64_t n_symbols = get_varint(payload, pos);
-  CLEAR_CHECK_MSG(n_symbols > 0 && n_symbols <= 256,
-                  "delta dense residual table has " << n_symbols
-                                                    << " symbols");
+  const std::uint64_t n_symbols = get_varint(in);
+  if (n_symbols == 0 || n_symbols > 256)
+    in.fail("dense symbol count", "dense residual table has " +
+                                      std::to_string(n_symbols) + " symbols");
   std::vector<std::uint64_t> syms(n_symbols);
   std::vector<std::uint32_t> freqs(n_symbols);
   std::uint64_t sum = 0;
   for (std::size_t i = 0; i < n_symbols; ++i) {
-    syms[i] = get_varint(payload, pos);
-    CLEAR_CHECK_MSG(i == 0 || syms[i] > syms[i - 1],
-                    "delta dense residual symbols not ascending");
-    const std::uint64_t f = get_varint(payload, pos);
-    CLEAR_CHECK_MSG(f >= 1 && f <= kDenseTotal,
-                    "delta dense residual frequency " << f
-                                                      << " out of range");
+    syms[i] = get_varint(in);
+    in.expect(i == 0 || syms[i] > syms[i - 1], "dense symbol",
+              "dense residual symbols not ascending");
+    const std::uint64_t f = get_varint(in);
+    if (f < 1 || f > kDenseTotal)
+      in.fail("dense frequency", "dense residual frequency " +
+                                     std::to_string(f) + " out of range");
     freqs[i] = static_cast<std::uint32_t>(f);
     sum += f;
   }
-  CLEAR_CHECK_MSG(sum == kDenseTotal, "delta dense residual frequencies sum "
-                                          << sum << ", want " << kDenseTotal);
+  if (sum != kDenseTotal)
+    in.fail("dense frequency", "dense residual frequencies sum " +
+                                   std::to_string(sum) + ", want " +
+                                   std::to_string(kDenseTotal));
   std::vector<std::uint32_t> cum(n_symbols + 1, 0);
   for (std::size_t i = 0; i < n_symbols; ++i) cum[i + 1] = cum[i] + freqs[i];
   // cum -> symbol-index lookup (16 KB, filled once per tensor): O(1) per
@@ -451,13 +342,14 @@ void decode_dense_residuals(std::string_view payload, std::size_t& pos,
     std::fill(lut.begin() + cum[i], lut.begin() + cum[i + 1],
               static_cast<std::uint8_t>(i));
 
-  const std::uint64_t body_len = get_varint(payload, pos);
-  CLEAR_CHECK_MSG(pos + body_len <= payload.size(),
-                  "delta dense residual body truncated at offset " << pos);
-  const std::string_view body = payload.substr(pos, body_len);
-  pos += body_len;
-  CLEAR_CHECK_MSG(body.size() >= 4,
-                  "delta dense residual body too short for an rANS state");
+  const std::uint64_t body_len = get_varint(in);
+  if (body_len < 4 || body_len > in.remaining())
+    in.fail("dense body", "dense residual body of " +
+                              std::to_string(body_len) +
+                              " byte(s) does not fit an rANS state in the "
+                              "input");
+  const std::string_view body =
+      in.take(static_cast<std::size_t>(body_len), "dense body");
   std::size_t bp = 0;
   std::uint32_t x = 0;
   for (int k = 0; k < 4; ++k)
@@ -551,7 +443,7 @@ std::optional<std::string> try_grid8(const Tensor& base, const Tensor& ft) {
     sparse += encode_residuals(neg_zero);
     std::string dense = encode_dense_residuals(r, neg_zero);
     std::string payload;
-    artifact::put_u32(payload, f32_bits(s));
+    put_u32(payload, f32_bits(s));
     if (!dense.empty() && dense.size() + 1 < sparse.size()) {
       payload += '\x01';
       payload += dense;
@@ -573,8 +465,7 @@ std::string encode_ulp(const Tensor& base, const Tensor& ft) {
 
 std::string encode_raw(const Tensor& ft) {
   std::string out;
-  out.reserve(ft.numel() * 4);
-  for (const float v : ft.flat()) artifact::put_u32(out, f32_bits(v));
+  put_f32s(out, ft.data(), ft.numel());
   return out;
 }
 
@@ -595,9 +486,7 @@ std::vector<float> decode_tensor(Enc enc, std::string_view payload,
                       "delta tensor '" << name << "': raw payload is "
                                        << payload.size() << " bytes, want "
                                        << n * 4);
-      std::size_t pos = 0;
-      for (std::size_t i = 0; i < n; ++i)
-        out[i] = f32_from_bits(artifact::get_u32(payload, pos, "delta raw"));
+      ByteCursor(payload, "delta raw").f32s(out.data(), n, "raw values");
       break;
     }
     case Enc::kUlpDelta: {
@@ -617,24 +506,21 @@ std::vector<float> decode_tensor(Enc enc, std::string_view payload,
       break;
     }
     case Enc::kGrid8: {
-      std::size_t pos = 0;
-      const edge::QuantParams qp{
-          f32_from_bits(artifact::get_u32(payload, pos, "delta grid8"))};
-      const std::uint8_t mode = artifact::get_u8(payload, pos, "delta grid8");
+      ByteCursor in(payload, "delta grid8");
+      const edge::QuantParams qp{in.f32("scale")};
+      const std::uint8_t mode = in.u8("mode");
       std::vector<std::int64_t> r;
       std::vector<std::int64_t> neg_zero;
       if (mode == 0) {
-        r = decode_residuals_at(payload, pos, n);
-        neg_zero = decode_residuals_at(payload, pos, n);
+        r = decode_residuals_at(in, n);
+        neg_zero = decode_residuals_at(in, n);
       } else {
-        CLEAR_CHECK_MSG(mode == 1, "delta tensor '"
-                                       << name << "': unknown grid8 mode "
-                                       << int(mode));
-        decode_dense_residuals(payload, pos, n, r, neg_zero);
+        if (mode != 1)
+          in.fail("mode", "tensor '" + name + "': unknown grid8 mode " +
+                              std::to_string(mode));
+        decode_dense_residuals(in, n, r, neg_zero);
       }
-      CLEAR_CHECK_MSG(pos == payload.size(),
-                      "delta grid8 payload has " << (payload.size() - pos)
-                                                 << " trailing bytes");
+      in.done();
       // The SIMD quantize kernel is bit-identical to the scalar
       // edge::quantize_value the encoder used (the kernel sweep enforces
       // cross-ISA bit-identity); one bulk call replaces a per-weight
@@ -675,36 +561,35 @@ struct Meta {
 
 std::string encode_meta(const Meta& m) {
   std::string out;
-  artifact::put_u32(out, m.codec_version);
-  artifact::put_u8(out, static_cast<std::uint8_t>(m.base.kind));
-  artifact::put_u64(out, m.base.id);
-  artifact::put_u64(out, m.base_bytes);
-  artifact::put_u32(out, m.base_crc);
-  artifact::put_u64(out, m.full_bytes);
-  artifact::put_u32(out, m.full_crc);
-  artifact::put_u64(out, m.tensor_count);
+  put_u32(out, m.codec_version);
+  put_u8(out, static_cast<std::uint8_t>(m.base.kind));
+  put_u64(out, m.base.id);
+  put_u64(out, m.base_bytes);
+  put_u32(out, m.base_crc);
+  put_u64(out, m.full_bytes);
+  put_u32(out, m.full_crc);
+  put_u64(out, m.tensor_count);
   return out;
 }
 
 Meta decode_meta(std::string_view bytes) {
+  ByteCursor in(bytes, "delta.meta");
   Meta m;
-  std::size_t pos = 0;
-  m.codec_version = artifact::get_u32(bytes, pos, "delta.meta");
-  CLEAR_CHECK_MSG(m.codec_version == kDeltaCodecVersion,
-                  "unsupported delta codec version " << m.codec_version);
-  const std::uint8_t kind = artifact::get_u8(bytes, pos, "delta.meta");
-  CLEAR_CHECK_MSG(kind <= 1, "delta.meta names unknown base kind "
-                                 << static_cast<int>(kind));
+  m.codec_version = in.u32("codec version");
+  if (m.codec_version != kDeltaCodecVersion)
+    in.fail("codec version", "unsupported delta codec version " +
+                                 std::to_string(m.codec_version));
+  const std::uint8_t kind = in.u8("base kind");
+  if (kind > 1)
+    in.fail("base kind", "unknown base kind " + std::to_string(kind));
   m.base.kind = static_cast<BaseRef::Kind>(kind);
-  m.base.id = artifact::get_u64(bytes, pos, "delta.meta");
-  m.base_bytes = artifact::get_u64(bytes, pos, "delta.meta");
-  m.base_crc = artifact::get_u32(bytes, pos, "delta.meta");
-  m.full_bytes = artifact::get_u64(bytes, pos, "delta.meta");
-  m.full_crc = artifact::get_u32(bytes, pos, "delta.meta");
-  m.tensor_count = artifact::get_u64(bytes, pos, "delta.meta");
-  CLEAR_CHECK_MSG(pos == bytes.size(),
-                  "delta.meta has " << (bytes.size() - pos)
-                                    << " trailing bytes");
+  m.base.id = in.u64("base id");
+  m.base_bytes = in.u64("base bytes");
+  m.base_crc = in.u32("base crc");
+  m.full_bytes = in.u64("full bytes");
+  m.full_crc = in.u32("full crc");
+  m.tensor_count = in.u64("tensor count");
+  in.done();
   return m;
 }
 
@@ -722,8 +607,8 @@ std::optional<std::string> encode(const std::string& base_blob,
   std::vector<NamedTensor> base_params;
   std::vector<NamedTensor> ft_params;
   try {
-    base_params = parse_checkpoint(base_blob);
-    ft_params = parse_checkpoint(ft_blob);
+    base_params = nn::decode_checkpoint(base_blob);
+    ft_params = nn::decode_checkpoint(ft_blob);
   } catch (const Error&) {
     return std::nullopt;  // Unparseable input: persist the full blob.
   }
@@ -734,7 +619,7 @@ std::optional<std::string> encode(const std::string& base_blob,
       return std::nullopt;
   // The reconstruction target is the v2 re-serialization; a blob that does
   // not round-trip byte-identically (e.g. a legacy v1 input) stays full.
-  if (serialize_v2(ft_params) != ft_blob) return std::nullopt;
+  if (nn::encode_checkpoint(ft_params) != ft_blob) return std::nullopt;
 
   EncodeStats st;
   st.tensors = ft_params.size();
@@ -776,12 +661,10 @@ std::optional<std::string> encode(const std::string& base_blob,
         default: break;
       }
     }
-    artifact::put_u32(tensors_block,
-                      static_cast<std::uint32_t>(ft_params[i].name.size()));
-    tensors_block += ft_params[i].name;
-    artifact::put_u8(tensors_block, static_cast<std::uint8_t>(enc));
-    artifact::put_u64(tensors_block, n);
-    artifact::put_u64(tensors_block, payload.size());
+    put_blob32(tensors_block, ft_params[i].name);
+    put_u8(tensors_block, static_cast<std::uint8_t>(enc));
+    put_u64(tensors_block, n);
+    put_u64(tensors_block, payload.size());
     values_block += payload;
   }
 
@@ -831,30 +714,21 @@ std::string decode(const std::string& delta_blob,
   // recomputes the full blob's CRC, so damage anywhere in the base still
   // fails loudly (see blob_fingerprint).
   const std::vector<NamedTensor> base_params =
-      parse_checkpoint(base_blob, /*verify_crc=*/false);
+      nn::decode_checkpoint(base_blob, /*verify_crc=*/false);
   CLEAR_CHECK_MSG(meta.tensor_count == base_params.size(),
                   "delta has " << meta.tensor_count
                                << " tensor records, base checkpoint has "
                                << base_params.size());
 
-  const std::string_view tensors = reader.block(kTensorsBlock);
-  const std::string_view values = reader.block(kValuesBlock);
+  ByteCursor tensors(reader.block(kTensorsBlock), "delta.tensors");
+  ByteCursor values(reader.block(kValuesBlock), "delta.values");
   std::vector<NamedTensor> out;
   out.reserve(base_params.size());
-  std::size_t tpos = 0;
-  std::size_t vpos = 0;
   for (std::size_t i = 0; i < base_params.size(); ++i) {
-    const std::uint32_t name_len =
-        artifact::get_u32(tensors, tpos, "delta.tensors");
-    CLEAR_CHECK_MSG(tpos + name_len <= tensors.size(),
-                    "delta.tensors truncated in record " << i << "'s name");
-    const std::string name(tensors.substr(tpos, name_len));
-    tpos += name_len;
-    const std::uint8_t enc = artifact::get_u8(tensors, tpos, "delta.tensors");
-    const std::uint64_t numel =
-        artifact::get_u64(tensors, tpos, "delta.tensors");
-    const std::uint64_t payload_len =
-        artifact::get_u64(tensors, tpos, "delta.tensors");
+    const std::string name(tensors.blob32("tensor name"));
+    const std::uint8_t enc = tensors.u8("encoding");
+    const std::uint64_t numel = tensors.u64("numel");
+    const std::uint64_t payload_len = tensors.u64("payload length");
     CLEAR_CHECK_MSG(name == base_params[i].name,
                     "delta tensor " << i << " is '" << name
                                     << "', base checkpoint has '"
@@ -863,14 +737,8 @@ std::string decode(const std::string& delta_blob,
                     "delta tensor '" << name << "' has " << numel
                                      << " elements, base has "
                                      << base_params[i].value.numel());
-    CLEAR_CHECK_MSG(vpos + payload_len <= values.size(),
-                    "delta.values truncated: tensor '"
-                        << name << "' needs " << payload_len
-                        << " bytes at offset " << vpos << ", block has "
-                        << values.size());
-    const std::string_view payload = values.substr(
-        vpos, static_cast<std::size_t>(payload_len));
-    vpos += static_cast<std::size_t>(payload_len);
+    const std::string_view payload =
+        values.take(static_cast<std::size_t>(payload_len), "tensor payload");
     NamedTensor nt;
     nt.name = name;
     nt.value = Tensor(base_params[i].value.shape(),
@@ -879,14 +747,10 @@ std::string decode(const std::string& delta_blob,
                                     static_cast<std::size_t>(numel), name));
     out.push_back(std::move(nt));
   }
-  CLEAR_CHECK_MSG(tpos == tensors.size(),
-                  "delta.tensors has " << (tensors.size() - tpos)
-                                       << " trailing bytes");
-  CLEAR_CHECK_MSG(vpos == values.size(),
-                  "delta.values has " << (values.size() - vpos)
-                                      << " trailing bytes");
+  tensors.done();
+  values.done();
 
-  std::string full = serialize_v2(out);
+  std::string full = nn::encode_checkpoint(out);
   CLEAR_CHECK_MSG(
       full.size() == meta.full_bytes &&
           blob_fingerprint(full) == meta.full_crc,

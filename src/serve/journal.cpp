@@ -3,16 +3,16 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <limits>
-#include <sstream>
 
+#include "common/bytes.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/file.hpp"
 #include "tensor/serialize.hpp"
 
 namespace clear::serve {
@@ -36,108 +36,93 @@ constexpr std::uint64_t kMinFormatVersion = kJournalMinFormatVersion;
 /// so anything near this is a corrupt length field, not a real record.
 constexpr std::uint32_t kMaxRecordBytes = 16u << 20;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out.push_back(static_cast<char>((v >> 24) & 0xFF));
+void put_point(std::string& out, const cluster::Point& p) {
+  put_u64(out, p.size());
+  for (const double v : p) put_f64(out, v);
 }
 
-std::uint32_t get_u32(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-void write_point(std::ostream& os, const cluster::Point& p) {
-  io::write_u64(os, p.size());
-  for (const double v : p) io::write_f64(os, v);
-}
-
-cluster::Point read_point(std::istream& is) {
-  const std::uint64_t n = io::read_u64(is);
-  CLEAR_CHECK_MSG(n < (1u << 20), "implausible point size in journal");
-  cluster::Point p;
-  p.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) p.push_back(io::read_f64(is));
+cluster::Point get_point(ByteCursor& in) {
+  cluster::Point p(in.count(in.u64("point size"), 8, "point size"));
+  for (double& v : p) v = in.f64("point value");
   return p;
 }
 
-SessionState read_state(std::istream& is, std::uint64_t version) {
-  const std::uint64_t raw = io::read_u64(is);
+SessionState get_state(ByteCursor& in, std::uint64_t version) {
+  const std::uint64_t raw = in.u64("session state");
   // v1 predates the adaptation states, so 6/7 in a v1 file is corruption.
   const std::uint64_t bound = static_cast<std::uint64_t>(
       version >= 2 ? SessionState::kShadowing : SessionState::kDegraded);
-  CLEAR_CHECK_MSG(raw <= bound, "invalid session state " << raw
-                                                         << " in a v"
-                                                         << version
-                                                         << " file");
+  if (raw > bound) {
+    in.fail("session state", "invalid session state " + std::to_string(raw) +
+                                 " in a v" + std::to_string(version) +
+                                 " file");
+  }
   return static_cast<SessionState>(raw);
 }
 
-std::string encode_record(const JournalRecord& r) {
-  std::ostringstream os(std::ios::binary);
-  io::write_u64(os, r.seq);
-  io::write_u64(os, static_cast<std::uint64_t>(r.type));
-  io::write_u64(os, r.user_id);
+void put_label(std::string& out, std::int64_t label) {
+  put_u64(out, static_cast<std::uint64_t>(label));
+}
+
+std::int64_t get_label(ByteCursor& in) {
+  return static_cast<std::int64_t>(in.u64("label"));
+}
+
+void encode_record(std::string& out, const JournalRecord& r) {
+  put_u64(out, r.seq);
+  put_u64(out, static_cast<std::uint64_t>(r.type));
+  put_u64(out, r.user_id);
   switch (r.type) {
     case RecordType::kRequest:
-      io::write_u64(os, r.time_us);
-      io::write_f64(os, r.quality);
+      put_u64(out, r.time_us);
+      put_f64(out, r.quality);
       break;
     case RecordType::kObservation:
-      write_point(os, r.point);
+    case RecordType::kReassessObs:
+      put_point(out, r.point);
       break;
     case RecordType::kAssign:
-      io::write_u64(os, r.cluster);
-      break;
-    case RecordType::kLabelled:
-      io::write_u64(os,
-                    static_cast<std::uint64_t>(static_cast<std::int64_t>(
-                        r.label)));
-      io::write_tensor(os, r.map);
-      break;
-    case RecordType::kFinetune:
-      io::write_u64(os, r.ckpt_bytes);
-      io::write_u64(os, r.ckpt_crc);
-      break;
-    case RecordType::kFinetuneAbort:
-      break;
-    case RecordType::kShed:
-      io::write_u64(os, (r.shed_charged ? 1u : 0u) |
-                            (r.shed_unadmitted ? 2u : 0u));
-      break;
-    case RecordType::kPredict:
-      io::write_u64(os, r.time_us);
-      break;
-    case RecordType::kDriftTick:
-      io::write_u64(os, r.drifting ? 1u : 0u);
-      break;
-    case RecordType::kReassessObs:
-      write_point(os, r.point);
-      break;
     case RecordType::kReassign:
     case RecordType::kPromote:
-      io::write_u64(os, r.cluster);
+      put_u64(out, r.cluster);
+      break;
+    case RecordType::kLabelled:
+      put_label(out, r.label);
+      put_tensor(out, r.map);
+      break;
+    case RecordType::kFinetune:
+      put_u64(out, r.ckpt_bytes);
+      put_u64(out, r.ckpt_crc);
+      break;
+    case RecordType::kShed:
+      put_u64(out, (r.shed_charged ? 1u : 0u) | (r.shed_unadmitted ? 2u : 0u));
+      break;
+    case RecordType::kPredict:
+      put_u64(out, r.time_us);
+      break;
+    case RecordType::kDriftTick:
+      put_u64(out, r.drifting ? 1u : 0u);
       break;
     case RecordType::kShadowTick:
-      io::write_u64(os, r.shadow_won ? 1u : 0u);
+      put_u64(out, r.shadow_won ? 1u : 0u);
       break;
+    case RecordType::kFinetuneAbort:
     case RecordType::kDemote:
       break;
     case RecordType::kUnknown:
       CLEAR_CHECK_MSG(false, "kUnknown is a read-side sentinel, never written");
       break;
   }
-  return os.str();
 }
 
-JournalRecord decode_record(const std::string& payload) {
-  std::istringstream is(payload, std::ios::binary);
+/// Bytes after the fields a record kind defines are ignored, so a newer
+/// writer may append fields to a known kind.
+JournalRecord decode_record(std::string_view payload) {
+  ByteCursor in(payload, "journal record");
   JournalRecord r;
-  r.seq = io::read_u64(is);
-  const std::uint64_t type = io::read_u64(is);
+  r.seq = in.u64("seq");
+  const std::uint64_t type = in.u64("kind");
+  r.user_id = in.u64("user_id");
   if (type < 1 || type > static_cast<std::uint64_t>(RecordType::kDemote)) {
     // A CRC-intact frame of a kind this reader does not know (written by a
     // newer format). The (seq, type, user_id) prefix is stable across
@@ -145,193 +130,158 @@ JournalRecord decode_record(const std::string& payload) {
     // rather than distrusting every record after it.
     r.type = RecordType::kUnknown;
     r.raw_kind = type;
-    r.user_id = io::read_u64(is);
-    CLEAR_CHECK_MSG(is.good(), "truncated journal record payload");
     return r;
   }
   r.type = static_cast<RecordType>(type);
-  r.user_id = io::read_u64(is);
   switch (r.type) {
     case RecordType::kRequest:
-      r.time_us = io::read_u64(is);
-      r.quality = io::read_f64(is);
+      r.time_us = in.u64("time_us");
+      r.quality = in.f64("quality");
       break;
     case RecordType::kObservation:
-      r.point = read_point(is);
+    case RecordType::kReassessObs:
+      r.point = get_point(in);
       break;
     case RecordType::kAssign:
-      r.cluster = io::read_u64(is);
+    case RecordType::kReassign:
+    case RecordType::kPromote:
+      r.cluster = in.u64("cluster");
       break;
     case RecordType::kLabelled:
-      r.label = static_cast<std::int32_t>(
-          static_cast<std::int64_t>(io::read_u64(is)));
-      r.map = io::read_tensor(is);
+      r.label = static_cast<std::int32_t>(get_label(in));
+      r.map = get_tensor(in);
       break;
     case RecordType::kFinetune:
-      r.ckpt_bytes = io::read_u64(is);
-      r.ckpt_crc = static_cast<std::uint32_t>(io::read_u64(is));
-      break;
-    case RecordType::kFinetuneAbort:
+      r.ckpt_bytes = in.u64("ckpt_bytes");
+      r.ckpt_crc = static_cast<std::uint32_t>(in.u64("ckpt_crc"));
       break;
     case RecordType::kShed: {
-      const std::uint64_t flags = io::read_u64(is);
+      const std::uint64_t flags = in.u64("shed flags");
       r.shed_charged = (flags & 1) != 0;
       r.shed_unadmitted = (flags & 2) != 0;
       break;
     }
     case RecordType::kPredict:
-      r.time_us = io::read_u64(is);
+      r.time_us = in.u64("time_us");
       break;
     case RecordType::kDriftTick:
-      r.drifting = io::read_u64(is) != 0;
-      break;
-    case RecordType::kReassessObs:
-      r.point = read_point(is);
-      break;
-    case RecordType::kReassign:
-    case RecordType::kPromote:
-      r.cluster = io::read_u64(is);
+      r.drifting = in.u64("drifting") != 0;
       break;
     case RecordType::kShadowTick:
-      r.shadow_won = io::read_u64(is) != 0;
+      r.shadow_won = in.u64("shadow_won") != 0;
       break;
+    case RecordType::kFinetuneAbort:
     case RecordType::kDemote:
-      break;
     case RecordType::kUnknown:
-      break;  // Handled above; unreachable.
+      break;
   }
-  CLEAR_CHECK_MSG(is.good(), "truncated journal record payload");
   return r;
 }
 
-void write_image(std::ostream& os, const SessionImage& img) {
-  io::write_u64(os, img.user_id);
-  io::write_u64(os, static_cast<std::uint64_t>(img.state));
-  io::write_u64(os, static_cast<std::uint64_t>(img.saved_state));
-  io::write_u64(os, img.bad_streak);
-  io::write_u64(os, img.good_streak);
-  io::write_u64(os, img.cluster);
-  io::write_u64(os, img.observations.size());
-  for (const cluster::Point& p : img.observations) write_point(os, p);
-  io::write_u64(os, img.labelled.size());
+void put_image(std::string& out, const SessionImage& img) {
+  put_u64(out, img.user_id);
+  put_u64(out, static_cast<std::uint64_t>(img.state));
+  put_u64(out, static_cast<std::uint64_t>(img.saved_state));
+  put_u64(out, img.bad_streak);
+  put_u64(out, img.good_streak);
+  put_u64(out, img.cluster);
+  put_u64(out, img.observations.size());
+  for (const cluster::Point& p : img.observations) put_point(out, p);
+  put_u64(out, img.labelled.size());
   for (const LabelledMap& m : img.labelled) {
-    io::write_u64(os, static_cast<std::uint64_t>(
-                          static_cast<std::int64_t>(m.label)));
-    io::write_tensor(os, m.map);
+    put_label(out, m.label);
+    put_tensor(out, m.map);
   }
-  io::write_u64(os, img.finetune_enabled ? 1 : 0);
-  io::write_u64(os, img.requests);
-  io::write_u64(os, img.shed);
-  io::write_u64(os, img.predictions);
-  io::write_u64(os, img.first_arrival_us);
-  io::write_u64(os, img.first_prediction_us.has_value() ? 1 : 0);
-  io::write_u64(os, img.first_prediction_us.value_or(0));
-  io::write_u64(os, img.has_personal ? 1 : 0);
+  put_u64(out, img.finetune_enabled ? 1 : 0);
+  put_u64(out, img.requests);
+  put_u64(out, img.shed);
+  put_u64(out, img.predictions);
+  put_u64(out, img.first_arrival_us);
+  put_u64(out, img.first_prediction_us.has_value() ? 1 : 0);
+  put_u64(out, img.first_prediction_us.value_or(0));
+  put_u64(out, img.has_personal ? 1 : 0);
   // v2: online-adaptation bookkeeping.
-  io::write_u64(os, img.drift_streak);
-  io::write_u64(os, static_cast<std::uint64_t>(img.reassess_from));
-  io::write_u64(os, img.candidate_cluster);
-  io::write_u64(os, img.shadow_wins);
-  io::write_u64(os, img.shadow_seen);
+  put_u64(out, img.drift_streak);
+  put_u64(out, static_cast<std::uint64_t>(img.reassess_from));
+  put_u64(out, img.candidate_cluster);
+  put_u64(out, img.shadow_wins);
+  put_u64(out, img.shadow_seen);
 }
 
-SessionImage read_image(std::istream& is, std::uint64_t version) {
+SessionImage get_image(ByteCursor& in, std::uint64_t version) {
   SessionImage img;
-  img.user_id = io::read_u64(is);
-  img.state = read_state(is, version);
-  img.saved_state = read_state(is, version);
-  img.bad_streak = io::read_u64(is);
-  img.good_streak = io::read_u64(is);
-  img.cluster = io::read_u64(is);
-  const std::uint64_t n_obs = io::read_u64(is);
-  CLEAR_CHECK_MSG(n_obs < (1u << 20), "implausible observation count");
-  img.observations.reserve(n_obs);
-  for (std::uint64_t i = 0; i < n_obs; ++i)
-    img.observations.push_back(read_point(is));
-  const std::uint64_t n_lab = io::read_u64(is);
-  CLEAR_CHECK_MSG(n_lab < (1u << 20), "implausible labelled-map count");
-  img.labelled.reserve(n_lab);
-  for (std::uint64_t i = 0; i < n_lab; ++i) {
-    LabelledMap m;
-    m.label = static_cast<int>(static_cast<std::int64_t>(io::read_u64(is)));
-    m.map = io::read_tensor(is);
-    img.labelled.push_back(std::move(m));
+  img.user_id = in.u64("user_id");
+  img.state = get_state(in, version);
+  img.saved_state = get_state(in, version);
+  img.bad_streak = in.u64("bad_streak");
+  img.good_streak = in.u64("good_streak");
+  img.cluster = in.u64("cluster");
+  // An observation is at least its u64 size; a labelled map at least its
+  // u64 label plus a 16-byte tensor head.
+  img.observations.resize(
+      in.count(in.u64("observation count"), 8, "observation count"));
+  for (cluster::Point& p : img.observations) p = get_point(in);
+  img.labelled.resize(
+      in.count(in.u64("labelled-map count"), 24, "labelled-map count"));
+  for (LabelledMap& m : img.labelled) {
+    m.label = static_cast<int>(get_label(in));
+    m.map = get_tensor(in);
   }
-  img.finetune_enabled = io::read_u64(is) != 0;
-  img.requests = io::read_u64(is);
-  img.shed = io::read_u64(is);
-  img.predictions = io::read_u64(is);
-  img.first_arrival_us = io::read_u64(is);
-  const bool has_first_pred = io::read_u64(is) != 0;
-  const std::uint64_t first_pred = io::read_u64(is);
+  img.finetune_enabled = in.u64("finetune_enabled") != 0;
+  img.requests = in.u64("requests");
+  img.shed = in.u64("shed");
+  img.predictions = in.u64("predictions");
+  img.first_arrival_us = in.u64("first_arrival_us");
+  const bool has_first_pred = in.u64("has_first_prediction") != 0;
+  const std::uint64_t first_pred = in.u64("first_prediction_us");
   if (has_first_pred) img.first_prediction_us = first_pred;
-  img.has_personal = io::read_u64(is) != 0;
+  img.has_personal = in.u64("has_personal") != 0;
   if (version >= 2) {
-    img.drift_streak = io::read_u64(is);
-    img.reassess_from = read_state(is, version);
-    img.candidate_cluster = io::read_u64(is);
-    img.shadow_wins = io::read_u64(is);
-    img.shadow_seen = io::read_u64(is);
+    img.drift_streak = in.u64("drift_streak");
+    img.reassess_from = get_state(in, version);
+    img.candidate_cluster = in.u64("candidate_cluster");
+    img.shadow_wins = in.u64("shadow_wins");
+    img.shadow_seen = in.u64("shadow_seen");
   }
   return img;
 }
 
-std::string encode_snapshot(const SnapshotData& data) {
-  std::ostringstream os(std::ios::binary);
-  io::write_u64(os, data.last_seq);
-  io::write_u64(os, data.last_arrival_us);
-  io::write_u64(os, data.counters.requests);
-  io::write_u64(os, data.counters.ok);
-  io::write_u64(os, data.counters.shed);
-  io::write_u64(os, data.counters.assignments);
-  io::write_u64(os, data.counters.finetunes);
-  io::write_u64(os, data.counters.finetune_failures);
-  io::write_u64(os, data.counters.sanitized);
-  io::write_u64(os, data.counters.degraded);
-  io::write_u64(os, data.counters.recovered);
-  // v2: online-adaptation counters.
-  io::write_u64(os, data.counters.drift_ticks);
-  io::write_u64(os, data.counters.drift_detected);
-  io::write_u64(os, data.counters.reassessments);
-  io::write_u64(os, data.counters.drift_false_alarms);
-  io::write_u64(os, data.counters.shadow_ticks);
-  io::write_u64(os, data.counters.promotions);
-  io::write_u64(os, data.counters.demotions);
-  io::write_u64(os, data.sessions.size());
-  for (const SessionImage& img : data.sessions) write_image(os, img);
-  return os.str();
+/// The snapshot counters in on-disk order; v1 files stop after the first
+/// kV1Counters (the rest are the v2 online-adaptation counters).
+constexpr std::size_t kV1Counters = 9;
+std::array<std::uint64_t*, 16> counter_fields(SnapshotCounters& c) {
+  return {&c.requests,     &c.ok,           &c.shed,
+          &c.assignments,  &c.finetunes,    &c.finetune_failures,
+          &c.sanitized,    &c.degraded,     &c.recovered,
+          &c.drift_ticks,  &c.drift_detected, &c.reassessments,
+          &c.drift_false_alarms, &c.shadow_ticks, &c.promotions,
+          &c.demotions};
 }
 
-SnapshotData decode_snapshot(const std::string& payload,
-                             std::uint64_t version) {
-  std::istringstream is(payload, std::ios::binary);
+void encode_snapshot(std::string& out, const SnapshotData& data) {
+  put_u64(out, data.last_seq);
+  put_u64(out, data.last_arrival_us);
+  SnapshotCounters counters = data.counters;
+  for (const std::uint64_t* c : counter_fields(counters)) put_u64(out, *c);
+  put_u64(out, data.sessions.size());
+  for (const SessionImage& img : data.sessions) put_image(out, img);
+}
+
+SnapshotData decode_snapshot(std::string_view payload, std::uint64_t version) {
+  ByteCursor in(payload, "snapshot");
   SnapshotData data;
-  data.last_seq = io::read_u64(is);
-  data.last_arrival_us = io::read_u64(is);
-  data.counters.requests = io::read_u64(is);
-  data.counters.ok = io::read_u64(is);
-  data.counters.shed = io::read_u64(is);
-  data.counters.assignments = io::read_u64(is);
-  data.counters.finetunes = io::read_u64(is);
-  data.counters.finetune_failures = io::read_u64(is);
-  data.counters.sanitized = io::read_u64(is);
-  data.counters.degraded = io::read_u64(is);
-  data.counters.recovered = io::read_u64(is);
-  if (version >= 2) {
-    data.counters.drift_ticks = io::read_u64(is);
-    data.counters.drift_detected = io::read_u64(is);
-    data.counters.reassessments = io::read_u64(is);
-    data.counters.drift_false_alarms = io::read_u64(is);
-    data.counters.shadow_ticks = io::read_u64(is);
-    data.counters.promotions = io::read_u64(is);
-    data.counters.demotions = io::read_u64(is);
-  }
-  const std::uint64_t n = io::read_u64(is);
-  CLEAR_CHECK_MSG(n < (1u << 24), "implausible snapshot session count");
+  data.last_seq = in.u64("last_seq");
+  data.last_arrival_us = in.u64("last_arrival_us");
+  const auto counters = counter_fields(data.counters);
+  for (std::size_t i = 0; i < (version >= 2 ? counters.size() : kV1Counters);
+       ++i)
+    *counters[i] = in.u64("counter");
+  // A session image is at least its sixteen v1 u64 fields.
+  const std::size_t n = in.count(in.u64("session count"), 16 * 8,
+                                 "session count");
   data.sessions.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i)
-    data.sessions.push_back(read_image(is, version));
-  CLEAR_CHECK_MSG(is.good(), "truncated snapshot payload");
+  for (std::size_t i = 0; i < n; ++i)
+    data.sessions.push_back(get_image(in, version));
   return data;
 }
 
@@ -349,52 +299,10 @@ void write_all(int fd, const char* data, std::size_t n, const char* what) {
   }
 }
 
-/// fsync a path by reopening it (the snapshot/checkpoint writers use
-/// fstreams, which expose no fd).
-void fsync_path(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  CLEAR_CHECK_MSG(fd >= 0,
-                  "cannot open " << path << " for fsync: "
-                                 << std::strerror(errno));
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  CLEAR_CHECK_MSG(rc == 0, "fsync " << path << ": " << std::strerror(errno));
-}
-
-/// Temp-then-rename atomic write shared by the snapshot and user-checkpoint
-/// stores; the rename is the commit point, exactly like the artifact writer.
-void atomic_write_file(const std::string& path, const std::string& bytes,
-                       bool do_fsync, const char* what) {
-  const std::string tmp = path + ".tmp";
-  fault::maybe_fail_io("snapshot write");
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    CLEAR_CHECK_MSG(os.good(), "cannot write " << tmp << " (" << what << ")");
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    os.flush();
-    CLEAR_CHECK_MSG(os.good(), "IO error writing " << tmp);
-  }
-  if (do_fsync) {
-    fault::maybe_fail_io("snapshot fsync");
-    fsync_path(tmp);
-  }
-  fault::maybe_fail_io("snapshot rename");
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  CLEAR_CHECK_MSG(!ec, "cannot commit " << path << ": " << ec.message());
-  if (do_fsync) {
-    // The rename only becomes durable against machine crashes once the
-    // directory entry itself is on disk.
-    const std::string parent = fs::path(path).parent_path().string();
-    fsync_path(parent.empty() ? "." : parent);
-  }
-}
-
-std::string read_file_bytes(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) return {};
-  return std::string((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
+/// " (this reader supports v1-v2)".
+std::string supported_versions() {
+  return " (this reader supports v" + std::to_string(kMinFormatVersion) +
+         "-v" + std::to_string(kFormatVersion) + ")";
 }
 
 /// The 8-byte magic for a format version: 6-byte prefix + 2 ASCII digits.
@@ -487,13 +395,13 @@ std::size_t Journal::append(JournalRecord record) {
   CLEAR_CHECK_MSG(fd_ >= 0, "journal is not open");
   fault::maybe_fail_journal_io("journal append");
   record.seq = next_seq_;
-  const std::string payload = encode_record(record);
-  CLEAR_CHECK_MSG(payload.size() < kMaxRecordBytes, "journal record too big");
-  std::string frame;
-  frame.reserve(8 + payload.size());
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, crc32(payload));
-  frame += payload;
+  // [u32 len][u32 crc32(payload)][payload], built in place.
+  std::string frame(8, '\0');
+  encode_record(frame, record);
+  const std::size_t len = frame.size() - 8;
+  CLEAR_CHECK_MSG(len < kMaxRecordBytes, "journal record too big");
+  patch_le(frame, 0, static_cast<std::uint32_t>(len));
+  patch_le(frame, 4, crc32(frame.data() + 8, len));
 
   const std::size_t cap = fault::journal_torn_write_cap();
   if (cap < frame.size()) {
@@ -530,58 +438,50 @@ bool Journal::due_for_snapshot() const {
 
 void write_snapshot_file(const std::string& directory,
                          const SnapshotData& data, bool do_fsync) {
-  const std::string payload = encode_snapshot(data);
+  // magic, u32 version, u32 payload_len, u32 crc32(payload), payload.
   std::string bytes = magic_bytes(kSnapshotMagicPrefix, kFormatVersion);
   put_u32(bytes, static_cast<std::uint32_t>(kFormatVersion));
-  put_u32(bytes, static_cast<std::uint32_t>(payload.size()));
-  put_u32(bytes, crc32(payload));
-  bytes += payload;
-  atomic_write_file(snapshot_path(directory), bytes, do_fsync, "snapshot");
+  const std::size_t header = bytes.size() + 8;
+  bytes.resize(header);
+  encode_snapshot(bytes, data);
+  const std::size_t len = bytes.size() - header;
+  patch_le(bytes, header - 8, static_cast<std::uint32_t>(len));
+  patch_le(bytes, header - 4, crc32(bytes.data() + header, len));
+  write_file_atomic(snapshot_path(directory), bytes, "snapshot", do_fsync);
 }
 
 std::optional<SnapshotData> read_snapshot(const std::string& directory) {
   const std::string path = snapshot_path(directory);
-  std::error_code ec;
-  if (!fs::exists(path, ec)) return std::nullopt;
-  const std::string bytes = read_file_bytes(path);
-  constexpr std::size_t kMagicLen = 8;
-  CLEAR_CHECK_MSG(bytes.size() >= kMagicLen + 12,
-                  "snapshot " << path << " is truncated");
-  CLEAR_CHECK_MSG(std::memcmp(bytes.data(), kSnapshotMagicPrefix,
-                              sizeof(kSnapshotMagicPrefix)) == 0,
-                  "snapshot " << path << " has a bad magic");
-  const unsigned char* p =
-      reinterpret_cast<const unsigned char*>(bytes.data()) + kMagicLen;
-  const std::uint32_t version = get_u32(p);
-  CLEAR_CHECK_MSG(version >= kMinFormatVersion && version <= kFormatVersion,
-                  "snapshot " << path << " has unsupported format version "
-                              << version << " (this reader supports v"
-                              << kMinFormatVersion << "-v" << kFormatVersion
-                              << ")");
-  CLEAR_CHECK_MSG(
-      bytes.compare(0, kMagicLen,
-                    magic_bytes(kSnapshotMagicPrefix, version)) == 0,
-      "snapshot " << path << " has a bad magic");
-  const std::uint32_t len = get_u32(p + 4);
-  const std::uint32_t crc = get_u32(p + 8);
-  CLEAR_CHECK_MSG(bytes.size() == kMagicLen + 12 + len,
-                  "snapshot " << path << " length mismatch");
-  const std::string payload = bytes.substr(kMagicLen + 12);
-  CLEAR_CHECK_MSG(crc32(payload) == crc,
-                  "snapshot " << path << " failed its CRC check");
+  const std::optional<std::string> bytes = read_file(path);
+  if (!bytes) return std::nullopt;
+  const std::string what = "snapshot " + path;
+  ByteCursor in(*bytes, what.c_str());
+  const std::string_view magic = in.take(8, "magic");
+  const std::uint32_t version = in.u32("version");
+  if (version < kMinFormatVersion || version > kFormatVersion) {
+    in.fail("version", "unsupported format version " +
+                           std::to_string(version) + supported_versions());
+  }
+  in.expect(magic == magic_bytes(kSnapshotMagicPrefix, version), "magic",
+            "bad magic");
+  const std::uint32_t len = in.u32("payload_len");
+  const std::uint32_t crc = in.u32("crc");
+  in.expect(in.remaining() == len, "payload_len", "length mismatch");
+  const std::string_view payload = in.take(len, "payload");
+  in.expect(crc32(payload.data(), payload.size()) == crc, "crc",
+            "failed its CRC check");
   return decode_snapshot(payload, version);
 }
 
 JournalReadResult read_journal(const std::string& directory) {
   JournalReadResult result;
-  const std::string path = journal_log_path(directory);
-  std::error_code ec;
-  if (!fs::exists(path, ec)) {
+  const std::optional<std::string> file = read_file(journal_log_path(directory));
+  if (!file) {
     result.missing = true;
     return result;
   }
-  const std::string bytes = read_file_bytes(path);
-  const auto* raw = reinterpret_cast<const unsigned char*>(bytes.data());
+  const std::string& bytes = *file;
+  ByteCursor in(bytes, "journal.log");
   constexpr std::size_t kHeaderLen = 16;
   if (bytes.size() < kHeaderLen ||
       std::memcmp(bytes.data(), kJournalMagicPrefix,
@@ -590,40 +490,41 @@ JournalReadResult read_journal(const std::string& directory) {
     result.tail_bytes_dropped = bytes.size();
     return result;
   }
-  const std::uint32_t version = get_u32(raw + 8);
+  in.take(8, "magic");
+  const std::uint32_t version = in.u32("version");
+  in.u32("reserved");
   if (version < kMinFormatVersion || version > kFormatVersion) {
     // A future format: the framing itself may have changed, so the whole
     // file is untrusted — the versioned refusal a v1 reader gives v2 logs.
-    std::ostringstream os;
-    os << "journal.log has unsupported format version " << version
-       << " (this reader supports v" << kMinFormatVersion << "-v"
-       << kFormatVersion << "); refusing the whole file";
-    result.header_error = os.str();
+    result.header_error = "journal.log has unsupported format version " +
+                          std::to_string(version) + supported_versions() +
+                          "; refusing the whole file";
     result.tail_bytes_dropped = bytes.size();
     return result;
   }
-  if (bytes.compare(0, 16, header_bytes(version)) != 0) {
+  if (bytes.compare(0, kHeaderLen, header_bytes(version)) != 0) {
     result.tail_bytes_dropped = bytes.size();  // Magic/version echo mismatch.
     return result;
   }
-  std::size_t off = kHeaderLen;
-  while (off < bytes.size()) {
-    if (bytes.size() - off < 8) break;  // Torn frame header.
-    const std::uint32_t len = get_u32(raw + off);
-    const std::uint32_t crc = get_u32(raw + off + 4);
-    if (len >= kMaxRecordBytes || bytes.size() - off - 8 < len) break;
-    const std::string payload = bytes.substr(off + 8, len);
-    if (crc32(payload) != crc) break;
+  // Torn-tail scan: the first frame that is short, oversized, fails its
+  // CRC or does not decode ends the trusted prefix.
+  std::size_t good_end = kHeaderLen;
+  while (in.remaining() >= 8) {
+    const std::uint32_t len = in.u32("record length");
+    const std::uint32_t crc = in.u32("record crc");
+    if (len >= kMaxRecordBytes || len > in.remaining()) break;
+    const std::string_view payload = in.take(len, "record payload");
+    if (crc32(payload.data(), payload.size()) != crc) break;
     try {
       JournalRecord rec = decode_record(payload);
-      rec.file_offset = off;
+      rec.file_offset = good_end;
       result.records.push_back(std::move(rec));
     } catch (const Error&) {
       break;  // Intact CRC but undecodable: treat like any corrupt tail.
     }
-    off += 8 + len;
+    good_end = in.pos();
   }
-  result.tail_bytes_dropped = bytes.size() - off;
+  result.tail_bytes_dropped = bytes.size() - good_end;
   return result;
 }
 
@@ -631,27 +532,26 @@ void write_user_checkpoint(const std::string& directory,
                            std::uint64_t user_id, const std::string& blob,
                            bool do_fsync) {
   fault::maybe_fail_journal_io("checkpoint store write");
-  atomic_write_file(user_checkpoint_path(directory, user_id), blob, do_fsync,
-                    "user checkpoint");
+  write_file_atomic(user_checkpoint_path(directory, user_id), blob,
+                    "snapshot", do_fsync);
 }
 
 std::string read_user_checkpoint(const std::string& directory,
                                  std::uint64_t user_id) {
-  return read_file_bytes(user_checkpoint_path(directory, user_id));
+  return read_file(user_checkpoint_path(directory, user_id))
+      .value_or(std::string());
 }
 
 std::string encode_session_image(const SessionImage& image) {
-  std::ostringstream os(std::ios::binary);
-  write_image(os, image);
-  return os.str();
+  std::string out;
+  put_image(out, image);
+  return out;
 }
 
 SessionImage decode_session_image(const std::string& bytes) {
-  std::istringstream is(bytes, std::ios::binary);
-  SessionImage img = read_image(is, kFormatVersion);
-  CLEAR_CHECK_MSG(is.good(), "truncated session image");
-  is.peek();
-  CLEAR_CHECK_MSG(is.eof(), "trailing bytes after session image");
+  ByteCursor in(bytes, "session image");
+  SessionImage img = get_image(in, kFormatVersion);
+  in.done();
   return img;
 }
 

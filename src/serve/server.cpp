@@ -29,8 +29,7 @@ std::unique_ptr<nn::Sequential> model_from_blob(
     const nn::CnnLstmConfig& config, const std::string& blob) {
   Rng rng(1);  // Weights are overwritten by the checkpoint.
   auto model = nn::build_cnn_lstm(config, rng);
-  std::istringstream is(blob, std::ios::binary);
-  nn::load_checkpoint(is, *model);
+  nn::load_checkpoint_blob(blob, *model);
   return model;
 }
 
@@ -294,10 +293,8 @@ void Server::personalize(Session& session) {
   // record without its backing blob unless the write was torn.
   std::string ckpt_blob;
   if (journal_) {
-    std::ostringstream os(std::ios::binary);
-    nn::save_checkpoint(os, engine->model());
     ckpt_blob = encode_personal_blob(session.user_id(), session.cluster(),
-                                     os.str());
+                                     nn::checkpoint_blob(engine->model()));
   }
   session.set_personal_engine(std::move(engine));
   ++counters_.finetunes;
@@ -834,10 +831,9 @@ std::optional<Server::ExportedSession> Server::export_session(
     // Re-encode through the same deterministic path personalize() persists
     // with, so the wire blob carries the delta when one is stored and the
     // gaining shard's restore decodes to the bit-identical checkpoint.
-    std::ostringstream os(std::ios::binary);
-    nn::save_checkpoint(os, session->personal_engine()->model());
-    out.checkpoint =
-        encode_personal_blob(user_id, session->cluster(), os.str());
+    out.checkpoint = encode_personal_blob(
+        user_id, session->cluster(),
+        nn::checkpoint_blob(session->personal_engine()->model()));
   }
   CLEAR_OBS_COUNT("serve.migration.exports", 1);
   return out;

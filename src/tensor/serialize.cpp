@@ -1,82 +1,45 @@
 #include "tensor/serialize.hpp"
 
-#include <cstring>
-#include <istream>
-#include <ostream>
-
-#include "common/error.hpp"
-
-namespace clear::io {
+namespace clear {
 
 namespace {
 constexpr std::uint32_t kMagic = 0x43545352;  // 'CTSR'
 constexpr std::uint32_t kVersion = 1;
-
-template <typename T>
-void write_raw(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-  CLEAR_CHECK_MSG(os.good(), "IO error writing tensor stream");
-}
-
-template <typename T>
-T read_raw(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  CLEAR_CHECK_MSG(is.good(), "IO error / truncated tensor stream");
-  return v;
-}
+constexpr std::uint64_t kMaxRank = 8;
 }  // namespace
 
-void write_tensor(std::ostream& os, const Tensor& t) {
-  write_raw(os, kMagic);
-  write_raw(os, kVersion);
-  write_raw<std::uint64_t>(os, t.rank());
-  for (std::size_t d = 0; d < t.rank(); ++d)
-    write_raw<std::uint64_t>(os, t.extent(d));
-  os.write(reinterpret_cast<const char*>(t.data()),
-           static_cast<std::streamsize>(t.numel() * sizeof(float)));
-  CLEAR_CHECK_MSG(os.good(), "IO error writing tensor data");
+void put_tensor(std::string& out, const Tensor& t) {
+  put_u32(out, kMagic);
+  put_u32(out, kVersion);
+  put_u64(out, t.rank());
+  for (std::size_t d = 0; d < t.rank(); ++d) put_u64(out, t.extent(d));
+  put_f32s(out, t.data(), t.numel());
 }
 
-Tensor read_tensor(std::istream& is) {
-  const auto magic = read_raw<std::uint32_t>(is);
-  CLEAR_CHECK_MSG(magic == kMagic, "bad tensor magic");
-  const auto version = read_raw<std::uint32_t>(is);
-  CLEAR_CHECK_MSG(version == kVersion, "unsupported tensor version");
-  const auto rank = read_raw<std::uint64_t>(is);
-  CLEAR_CHECK_MSG(rank <= 8, "implausible tensor rank");
+Tensor get_tensor(ByteCursor& in) {
+  in.expect(in.u32("tensor magic") == kMagic, "tensor magic",
+            "bad tensor magic");
+  in.expect(in.u32("tensor version") == kVersion, "tensor version",
+            "unsupported tensor version");
+  const std::uint64_t rank = in.u64("tensor rank");
+  in.expect(rank <= kMaxRank, "tensor rank", "implausible tensor rank");
   std::vector<std::size_t> shape(rank);
-  std::size_t numel = rank == 0 ? 0 : 1;
-  for (auto& e : shape) {
-    e = static_cast<std::size_t>(read_raw<std::uint64_t>(is));
-    CLEAR_CHECK_MSG(e > 0 && e < (1ull << 32), "implausible tensor extent");
-    numel *= e;
+  // numel is bounded by the f32 words left after the extents at every
+  // step, so the product can neither overflow nor promise more data than
+  // the input holds.
+  const std::uint64_t max_numel = in.remaining() / sizeof(float);
+  std::uint64_t numel = rank == 0 ? 0 : 1;
+  for (std::size_t& e : shape) {
+    const std::uint64_t v = in.u64("tensor extent");
+    if (v == 0 || v >= (std::uint64_t{1} << 32) || v > max_numel / numel)
+      in.fail("tensor extent", "tensor extent " + std::to_string(v) +
+                                   " is zero or exceeds the input");
+    e = static_cast<std::size_t>(v);
+    numel *= v;
   }
-  std::vector<float> data(numel);
-  is.read(reinterpret_cast<char*>(data.data()),
-          static_cast<std::streamsize>(numel * sizeof(float)));
-  CLEAR_CHECK_MSG(is.good(), "IO error / truncated tensor data");
+  std::vector<float> data(in.count(numel, sizeof(float), "tensor data"));
+  in.f32s(data.data(), data.size(), "tensor data");
   return Tensor(std::move(shape), std::move(data));
 }
 
-void write_string(std::ostream& os, const std::string& s) {
-  write_raw<std::uint64_t>(os, s.size());
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-  CLEAR_CHECK_MSG(os.good(), "IO error writing string");
-}
-
-std::string read_string(std::istream& is) {
-  const auto n = read_raw<std::uint64_t>(is);
-  CLEAR_CHECK_MSG(n < (1ull << 24), "implausible string length");
-  std::string s(n, '\0');
-  is.read(s.data(), static_cast<std::streamsize>(n));
-  CLEAR_CHECK_MSG(is.good(), "IO error / truncated string");
-  return s;
-}
-
-void write_u64(std::ostream& os, std::uint64_t v) { write_raw(os, v); }
-std::uint64_t read_u64(std::istream& is) { return read_raw<std::uint64_t>(is); }
-void write_f64(std::ostream& os, double v) { write_raw(os, v); }
-double read_f64(std::istream& is) { return read_raw<double>(is); }
-
-}  // namespace clear::io
+}  // namespace clear

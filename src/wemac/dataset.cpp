@@ -1,11 +1,13 @@
 #include "wemac/dataset.hpp"
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
+#include "common/file.hpp"
 #include "common/logging.hpp"
 #include "features/feature_map.hpp"
 #include "tensor/serialize.hpp"
@@ -166,100 +168,94 @@ WemacDataset generate_wemac(const WemacConfig& config,
 namespace {
 constexpr std::uint64_t kDatasetMagic = 0x57454D4143763101ull;  // "WEMACv1".
 
-void write_profile(std::ostream& os, const VolunteerProfile& p) {
-  io::write_u64(os, p.volunteer_id);
-  io::write_u64(os, p.archetype_id);
-  for (const double v :
-       {p.hr_base, p.hr_fear_delta, p.hr_arousal_delta, p.hrv_sd,
-        p.hrv_fear_scale, p.resp_rate, p.bvp_amp, p.bvp_amp_fear_scale,
-        p.scr_rate_base, p.scr_rate_fear, p.scr_amp, p.scr_amp_fear_scale,
-        p.gsr_tonic, p.gsr_fear_slope, p.skt_base, p.skt_fear_drop,
-        p.bvp_noise, p.gsr_noise, p.skt_noise, p.cardiac_gain, p.gsr_gain,
-        p.skt_gain})
-    io::write_f64(os, v);
+/// The profile's f64 fields in on-disk order (const or mutable).
+template <typename Profile>
+auto profile_fields(Profile& p) {
+  return std::array{&p.hr_base,         &p.hr_fear_delta,
+                    &p.hr_arousal_delta, &p.hrv_sd,
+                    &p.hrv_fear_scale,  &p.resp_rate,
+                    &p.bvp_amp,         &p.bvp_amp_fear_scale,
+                    &p.scr_rate_base,   &p.scr_rate_fear,
+                    &p.scr_amp,         &p.scr_amp_fear_scale,
+                    &p.gsr_tonic,       &p.gsr_fear_slope,
+                    &p.skt_base,        &p.skt_fear_drop,
+                    &p.bvp_noise,       &p.gsr_noise,
+                    &p.skt_noise,       &p.cardiac_gain,
+                    &p.gsr_gain,        &p.skt_gain};
 }
 
-VolunteerProfile read_profile(std::istream& is) {
-  VolunteerProfile p;
-  p.volunteer_id = io::read_u64(is);
-  p.archetype_id = io::read_u64(is);
-  double* fields[] = {
-      &p.hr_base,         &p.hr_fear_delta,     &p.hr_arousal_delta,
-      &p.hrv_sd,          &p.hrv_fear_scale,    &p.resp_rate,
-      &p.bvp_amp,         &p.bvp_amp_fear_scale, &p.scr_rate_base,
-      &p.scr_rate_fear,   &p.scr_amp,           &p.scr_amp_fear_scale,
-      &p.gsr_tonic,       &p.gsr_fear_slope,    &p.skt_base,
-      &p.skt_fear_drop,   &p.bvp_noise,         &p.gsr_noise,
-      &p.skt_noise,       &p.cardiac_gain,      &p.gsr_gain,
-      &p.skt_gain};
-  for (double* f : fields) *f = io::read_f64(is);
-  return p;
-}
+// Smallest on-disk volunteer (2 u64 + 22 f64) and sample (4 u64 + a
+// 16-byte tensor head): the counts are checked against them before any
+// allocation.
+constexpr std::size_t kMinVolunteerBytes = 8 * (2 + 22);
+constexpr std::size_t kMinSampleBytes = 8 * 4 + 16;
 }  // namespace
 
 void save_dataset(const WemacDataset& dataset, const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  CLEAR_CHECK_MSG(os.good(), "cannot open dataset file for writing: " << path);
-  io::write_u64(os, kDatasetMagic);
-  io::write_string(os, dataset.config().cache_key());
+  std::string out;
+  put_u64(out, kDatasetMagic);
+  put_blob64(out, dataset.config().cache_key());
   const WemacConfig& c = dataset.config();
-  io::write_u64(os, c.seed);
-  io::write_u64(os, c.n_volunteers);
-  io::write_u64(os, c.trials_per_volunteer);
-  io::write_u64(os, c.windows_per_trial);
-  io::write_f64(os, c.window_seconds);
-  io::write_f64(os, c.fear_fraction);
-  io::write_f64(os, c.rates.bvp_hz);
-  io::write_f64(os, c.rates.gsr_hz);
-  io::write_f64(os, c.rates.skt_hz);
-  io::write_u64(os, dataset.volunteers().size());
+  put_u64(out, c.seed);
+  put_u64(out, c.n_volunteers);
+  put_u64(out, c.trials_per_volunteer);
+  put_u64(out, c.windows_per_trial);
+  for (const double v : {c.window_seconds, c.fear_fraction, c.rates.bvp_hz,
+                         c.rates.gsr_hz, c.rates.skt_hz})
+    put_f64(out, v);
+  put_u64(out, dataset.volunteers().size());
   for (const VolunteerMeta& m : dataset.volunteers()) {
-    io::write_u64(os, m.id);
-    io::write_u64(os, m.archetype_id);
-    write_profile(os, m.profile);
+    put_u64(out, m.id);
+    put_u64(out, m.archetype_id);
+    put_u64(out, m.profile.volunteer_id);
+    put_u64(out, m.profile.archetype_id);
+    for (const double* f : profile_fields(m.profile)) put_f64(out, *f);
   }
-  io::write_u64(os, dataset.samples().size());
+  put_u64(out, dataset.samples().size());
   for (const Sample& s : dataset.samples()) {
-    io::write_u64(os, s.volunteer_id);
-    io::write_u64(os, s.trial_id);
-    io::write_u64(os, static_cast<std::uint64_t>(s.emotion));
-    io::write_u64(os, static_cast<std::uint64_t>(s.label));
-    io::write_tensor(os, s.feature_map);
+    put_u64(out, s.volunteer_id);
+    put_u64(out, s.trial_id);
+    put_u64(out, static_cast<std::uint64_t>(s.emotion));
+    put_u64(out, static_cast<std::uint64_t>(s.label));
+    put_tensor(out, s.feature_map);
   }
-  CLEAR_CHECK_MSG(os.good(), "IO error writing dataset: " << path);
+  write_file_atomic(path, out, nullptr);
 }
 
 WemacDataset load_dataset(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  CLEAR_CHECK_MSG(is.good(), "cannot open dataset file: " << path);
-  CLEAR_CHECK_MSG(io::read_u64(is) == kDatasetMagic, "bad dataset magic");
-  (void)io::read_string(is);  // cache key (informational)
+  const std::optional<std::string> bytes = read_file(path);
+  CLEAR_CHECK_MSG(bytes.has_value(), "cannot open dataset file: " << path);
+  ByteCursor in(*bytes, "dataset cache");
+  in.expect(in.u64("magic") == kDatasetMagic, "magic", "bad dataset magic");
+  in.blob64("cache key");  // Informational.
   WemacConfig c;
-  c.seed = io::read_u64(is);
-  c.n_volunteers = io::read_u64(is);
-  c.trials_per_volunteer = io::read_u64(is);
-  c.windows_per_trial = io::read_u64(is);
-  c.window_seconds = io::read_f64(is);
-  c.fear_fraction = io::read_f64(is);
-  c.rates.bvp_hz = io::read_f64(is);
-  c.rates.gsr_hz = io::read_f64(is);
-  c.rates.skt_hz = io::read_f64(is);
-  const std::uint64_t n_vol = io::read_u64(is);
-  CLEAR_CHECK_MSG(n_vol == c.n_volunteers, "dataset volunteer count mismatch");
-  std::vector<VolunteerMeta> volunteers(n_vol);
+  c.seed = in.u64("seed");
+  c.n_volunteers = in.u64("n_volunteers");
+  c.trials_per_volunteer = in.u64("trials_per_volunteer");
+  c.windows_per_trial = in.u64("windows_per_trial");
+  for (double* v : {&c.window_seconds, &c.fear_fraction, &c.rates.bvp_hz,
+                    &c.rates.gsr_hz, &c.rates.skt_hz})
+    *v = in.f64("config");
+  const std::uint64_t n_vol = in.u64("volunteer count");
+  in.expect(n_vol == c.n_volunteers, "volunteer count",
+            "dataset volunteer count mismatch");
+  std::vector<VolunteerMeta> volunteers(
+      in.count(n_vol, kMinVolunteerBytes, "volunteer count"));
   for (auto& m : volunteers) {
-    m.id = io::read_u64(is);
-    m.archetype_id = io::read_u64(is);
-    m.profile = read_profile(is);
+    m.id = in.u64("volunteer id");
+    m.archetype_id = in.u64("archetype id");
+    m.profile.volunteer_id = in.u64("profile volunteer id");
+    m.profile.archetype_id = in.u64("profile archetype id");
+    for (double* f : profile_fields(m.profile)) *f = in.f64("profile");
   }
-  const std::uint64_t n_samples = io::read_u64(is);
-  std::vector<Sample> samples(n_samples);
+  std::vector<Sample> samples(
+      in.count(in.u64("sample count"), kMinSampleBytes, "sample count"));
   for (auto& s : samples) {
-    s.volunteer_id = io::read_u64(is);
-    s.trial_id = io::read_u64(is);
-    s.emotion = static_cast<Emotion>(io::read_u64(is));
-    s.label = static_cast<int>(io::read_u64(is));
-    s.feature_map = io::read_tensor(is);
+    s.volunteer_id = in.u64("sample volunteer id");
+    s.trial_id = in.u64("trial id");
+    s.emotion = static_cast<Emotion>(in.u64("emotion"));
+    s.label = static_cast<int>(in.u64("label"));
+    s.feature_map = get_tensor(in);
   }
   return WemacDataset(std::move(c), std::move(volunteers), std::move(samples));
 }

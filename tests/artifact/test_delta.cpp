@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "artifact/store.hpp"
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "edge/quantize.hpp"
@@ -163,6 +164,56 @@ TEST(ArtifactStore, FuzzNeverCrashes) {
         (void)reader.block(i);
     } catch (const Error&) {
     }
+  }
+}
+
+/// A 133-byte container (one 64-byte block) whose trailer points the index
+/// at 2^40 with a size that wraps `index_offset + index_size` around to 40
+/// in u64: an un-wrapped bounds check sees an index inside the file.
+std::string wrapped_index_container() {
+  artifact::Writer writer;
+  writer.add_block("a", std::string(64, 'a'));
+  std::string bytes = writer.finish();
+  const std::size_t trailer = bytes.size() - 28;
+  const std::uint64_t offset = std::uint64_t{1} << 40;
+  const std::uint64_t size = std::uint64_t{40} - offset;  // mod 2^64
+  std::memcpy(&bytes[trailer], &offset, sizeof(offset));
+  std::memcpy(&bytes[trailer + 8], &size, sizeof(size));
+  return bytes;
+}
+
+TEST(ArtifactStore, RejectsIndexBoundsThatWrapAround) {
+  const std::string bytes = wrapped_index_container();
+  ASSERT_EQ(bytes.size(), 133u);
+  EXPECT_THROW(artifact::Reader r(bytes), Error);
+  EXPECT_THROW(serve::delta::base_of(bytes), Error);
+}
+
+TEST(ArtifactStore, RejectsBlockBoundsThatWrapAround) {
+  artifact::Writer writer;
+  writer.add_block("a", std::string(64, 'a'));
+  std::string bytes = writer.finish();
+  // Index entry 0: u32 name_len (1), "a", u64 offset, u64 size, u32 crc.
+  const std::size_t trailer = bytes.size() - 28;
+  std::uint64_t index_offset = 0;
+  std::memcpy(&index_offset, &bytes[trailer], sizeof(index_offset));
+  const std::size_t entry = static_cast<std::size_t>(index_offset) + 4 + 1;
+  const std::uint64_t offset = std::uint64_t{1} << 40;
+  const std::uint64_t size = std::uint64_t{32} - offset;  // sum wraps to 32
+  std::memcpy(&bytes[entry], &offset, sizeof(offset));
+  std::memcpy(&bytes[entry + 8], &size, sizeof(size));
+  // Re-seal the index so only the wrapped bounds stand between the reader
+  // and a read 1 TiB past the buffer.
+  const std::uint32_t crc =
+      crc32(bytes.data() + index_offset, trailer - index_offset);
+  std::memcpy(&bytes[trailer + 16], &crc, sizeof(crc));
+  try {
+    const artifact::Reader reader(bytes);
+    (void)reader.block(0);
+    FAIL() << "wrapped block bounds accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("block 0"), std::string::npos)
+        << e.what();
   }
 }
 

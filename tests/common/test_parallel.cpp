@@ -1,7 +1,7 @@
 // Concurrency tests for the deterministic parallel runtime. These exercise
 // the thread pool under contention and are the primary target of the TSAN
-// build (tools/run_tsan_tests.sh); they intentionally mutate the process-wide
-// thread count, which is why they live in their own binary.
+// build (tools/run_sanitizer_tests.sh thread); they intentionally mutate the
+// process-wide thread count, which is why they live in their own binary.
 #include "common/parallel.hpp"
 
 #include <gtest/gtest.h>

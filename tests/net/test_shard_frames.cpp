@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "artifact/store.hpp"
 #include "clear/pipeline.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
@@ -232,6 +234,81 @@ TEST(ShardFrames, ExportImportHandoffOverTheWire) {
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->user_id, 1u);
   client_b.send_shutdown();
+}
+
+/// A 133-byte CLRART01 container whose trailer wraps `index_offset +
+/// index_size` around u64 (2^40 + (40 - 2^40)).
+std::string wrapped_index_container() {
+  artifact::Writer writer;
+  writer.add_block("a", std::string(64, 'a'));
+  std::string bytes = writer.finish();
+  const std::size_t trailer = bytes.size() - 28;
+  const std::uint64_t offset = std::uint64_t{1} << 40;
+  const std::uint64_t size = std::uint64_t{40} - offset;  // mod 2^64
+  std::memcpy(&bytes[trailer], &offset, sizeof(offset));
+  std::memcpy(&bytes[trailer + 8], &size, sizeof(size));
+  return bytes;
+}
+
+/// A session image for `user` whose labelled map declares rows x cols
+/// extents while carrying a single float.
+std::string image_with_map_extents(std::uint64_t user, std::uint64_t rows,
+                                   std::uint64_t cols) {
+  serve::SessionImage img;
+  img.user_id = user;
+  img.labelled.push_back({Tensor({1, 1}), 1});
+  std::string bytes = serve::encode_session_image(img);
+  const std::size_t ctsr = bytes.find("RSTC");  // 'CTSR', little-endian.
+  std::memcpy(&bytes[ctsr + 16], &rows, sizeof(rows));
+  std::memcpy(&bytes[ctsr + 24], &cols, sizeof(cols));
+  return bytes;
+}
+
+TEST(ShardFrames, MalformedImportsGetErrorAcksAndTheShardKeepsServing) {
+  WireHarness h(shard_serve_config());
+  BlockingClient client({"127.0.0.1", h.net_server.port()});
+
+  std::vector<WireSessionImage> imports;
+  {
+    // A personal session whose checkpoint is the wrapped container.
+    serve::SessionImage img;
+    img.user_id = 1;
+    img.state = serve::SessionState::kPersonalized;
+    img.has_personal = true;
+    imports.push_back(
+        {1, true, serve::encode_session_image(img), wrapped_index_container()});
+  }
+  const std::uint64_t big = std::uint64_t{1} << 20;
+  const std::uint64_t max32 = (std::uint64_t{1} << 32) - 1;
+  imports.push_back({2, true, image_with_map_extents(2, big, big), ""});
+  imports.push_back({3, true, image_with_map_extents(3, max32, max32), ""});
+
+  for (const WireSessionImage& import : imports) {
+    const std::string bytes = encode_session_image(import);
+    client.send_bytes(bytes.data(), bytes.size());
+    Frame frame;
+    ASSERT_TRUE(client.recv_frame(frame)) << "user " << import.user_id;
+    ASSERT_EQ(frame.type, FrameType::kImportAck);
+    WireImportAck ack;
+    std::string error;
+    ASSERT_TRUE(parse_import_ack(frame, ack, error)) << error;
+    EXPECT_EQ(ack.user_id, import.user_id);
+    EXPECT_FALSE(ack.ok);
+    EXPECT_FALSE(ack.error.empty());
+  }
+
+  // Still serving: a ping comes back, and no session was installed.
+  const std::string ping = encode_ping(7);
+  client.send_bytes(ping.data(), ping.size());
+  Frame frame;
+  ASSERT_TRUE(client.recv_frame(frame));
+  ASSERT_EQ(frame.type, FrameType::kPong);
+  WirePong pong;
+  std::string error;
+  ASSERT_TRUE(parse_pong(frame, pong, error)) << error;
+  EXPECT_EQ(pong.nonce, 7u);
+  EXPECT_EQ(pong.sessions, 0u);
+  client.send_shutdown();
 }
 
 TEST(ShardFrames, AdoptReplaysADeadShardsJournal) {

@@ -3,16 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
-#include "tensor/serialize.hpp"
+#include "common/bytes.hpp"
 
 namespace clear::serve {
 namespace {
@@ -352,6 +352,31 @@ TEST_F(JournalTest, UserCheckpointsRoundTripAndReportAbsence) {
   EXPECT_TRUE(read_user_checkpoint(dir, 6).empty());
 }
 
+/// A session image whose one labelled map is a CTSR tensor declaring
+/// rows x cols extents while carrying a single float of data.
+std::string image_with_map_extents(std::uint64_t rows, std::uint64_t cols) {
+  SessionImage img;
+  img.user_id = 1;
+  img.labelled.push_back({Tensor({1, 1}), 1});
+  std::string bytes = encode_session_image(img);
+  const std::size_t ctsr = bytes.find("RSTC");  // 'CTSR', little-endian.
+  EXPECT_NE(ctsr, std::string::npos);
+  // u32 magic, u32 version, u64 rank (2), then the two u64 extents.
+  std::memcpy(&bytes[ctsr + 16], &rows, sizeof(rows));
+  std::memcpy(&bytes[ctsr + 24], &cols, sizeof(cols));
+  return bytes;
+}
+
+TEST_F(JournalTest, SessionImageRejectsMapExtentsBeyondItsBytes) {
+  const std::uint64_t big = std::uint64_t{1} << 20;
+  const std::uint64_t max32 = (std::uint64_t{1} << 32) - 1;
+  for (const auto& [rows, cols] : {std::pair{big, big}, std::pair{max32, max32}}) {
+    const std::string bytes = image_with_map_extents(rows, cols);
+    EXPECT_THROW(decode_session_image(bytes), Error)
+        << rows << "x" << cols << " map";
+  }
+}
+
 TEST_F(JournalTest, StateExistsAfterAnyDurableArtifact) {
   EXPECT_FALSE(journal_state_exists(dir));
   { Journal journal({dir}); }
@@ -451,22 +476,22 @@ TEST_F(JournalTest, AdaptationRecordKindsRoundTrip) {
 TEST_F(JournalTest, ReadsFormatV1FilesFromOldWriters) {
   // A v1 log, byte-for-byte what a pre-adaptation binary wrote: "CLRWAL01"
   // header and only the v1 record kinds. The v2 reader must accept it.
-  std::ostringstream p1(std::ios::binary);
-  io::write_u64(p1, 1);  // seq
-  io::write_u64(p1, static_cast<std::uint64_t>(RecordType::kRequest));
-  io::write_u64(p1, 7);  // user_id
-  io::write_u64(p1, 1000);
-  io::write_f64(p1, 0.875);
-  std::ostringstream p2(std::ios::binary);
-  io::write_u64(p2, 2);
-  io::write_u64(p2, static_cast<std::uint64_t>(RecordType::kAssign));
-  io::write_u64(p2, 7);
-  io::write_u64(p2, 2);  // cluster
+  std::string p1;
+  put_u64(p1, 1);  // seq
+  put_u64(p1, static_cast<std::uint64_t>(RecordType::kRequest));
+  put_u64(p1, 7);  // user_id
+  put_u64(p1, 1000);
+  put_f64(p1, 0.875);
+  std::string p2;
+  put_u64(p2, 2);
+  put_u64(p2, static_cast<std::uint64_t>(RecordType::kAssign));
+  put_u64(p2, 7);
+  put_u64(p2, 2);  // cluster
   fs::create_directories(dir);
   {
     std::ofstream os(journal_log_path(dir), std::ios::binary);
     const std::string bytes =
-        log_header(1) + framed(p1.str()) + framed(p2.str());
+        log_header(1) + framed(p1) + framed(p2);
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
@@ -485,28 +510,28 @@ TEST_F(JournalTest, ReadsFormatV1FilesFromOldWriters) {
 TEST_F(JournalTest, ReadsFormatV1SnapshotsWithoutAdaptationFields) {
   // A v1 snapshot payload simply ends after has_personal; the v2 reader must
   // leave every adaptation field at its zero default.
-  std::ostringstream os(std::ios::binary);
-  io::write_u64(os, 5);     // last_seq
-  io::write_u64(os, 9000);  // last_arrival_us
-  for (int i = 0; i < 9; ++i) io::write_u64(os, 10 + i);  // v1 counters
-  io::write_u64(os, 1);  // one session
-  io::write_u64(os, 3);  // user_id
-  io::write_u64(os, static_cast<std::uint64_t>(SessionState::kAssigned));
-  io::write_u64(os, static_cast<std::uint64_t>(SessionState::kAssigned));
-  io::write_u64(os, 0);  // bad_streak
-  io::write_u64(os, 0);  // good_streak
-  io::write_u64(os, 1);  // cluster
-  io::write_u64(os, 0);  // no observations
-  io::write_u64(os, 0);  // no labelled maps
-  io::write_u64(os, 1);  // finetune_enabled
-  io::write_u64(os, 10);  // requests
-  io::write_u64(os, 0);   // shed
-  io::write_u64(os, 8);   // predictions
-  io::write_u64(os, 1000);  // first_arrival_us
-  io::write_u64(os, 0);     // no first_prediction
-  io::write_u64(os, 0);
-  io::write_u64(os, 0);  // has_personal
-  const std::string payload = os.str();
+  std::string os;
+  put_u64(os, 5);     // last_seq
+  put_u64(os, 9000);  // last_arrival_us
+  for (int i = 0; i < 9; ++i) put_u64(os, 10 + i);  // v1 counters
+  put_u64(os, 1);  // one session
+  put_u64(os, 3);  // user_id
+  put_u64(os, static_cast<std::uint64_t>(SessionState::kAssigned));
+  put_u64(os, static_cast<std::uint64_t>(SessionState::kAssigned));
+  put_u64(os, 0);  // bad_streak
+  put_u64(os, 0);  // good_streak
+  put_u64(os, 1);  // cluster
+  put_u64(os, 0);  // no observations
+  put_u64(os, 0);  // no labelled maps
+  put_u64(os, 1);  // finetune_enabled
+  put_u64(os, 10);  // requests
+  put_u64(os, 0);   // shed
+  put_u64(os, 8);   // predictions
+  put_u64(os, 1000);  // first_arrival_us
+  put_u64(os, 0);     // no first_prediction
+  put_u64(os, 0);
+  put_u64(os, 0);  // has_personal
+  const std::string payload = os;
   std::string bytes = "CLRSNP01";
   put_le32(bytes, 1);
   put_le32(bytes, static_cast<std::uint32_t>(payload.size()));
@@ -536,16 +561,16 @@ TEST_F(JournalTest, RefusesFutureFormatVersionsAtTheHeader) {
   // A v3 writer may have changed the framing itself, so a v2 reader must
   // refuse the whole file with a versioned error — the exact behavior a v1
   // reader shows a v2 log.
-  std::ostringstream p(std::ios::binary);
-  io::write_u64(p, 1);
-  io::write_u64(p, static_cast<std::uint64_t>(RecordType::kRequest));
-  io::write_u64(p, 7);
-  io::write_u64(p, 1000);
-  io::write_f64(p, 1.0);
+  std::string p;
+  put_u64(p, 1);
+  put_u64(p, static_cast<std::uint64_t>(RecordType::kRequest));
+  put_u64(p, 7);
+  put_u64(p, 1000);
+  put_f64(p, 1.0);
   fs::create_directories(dir);
   {
     std::ofstream os(journal_log_path(dir), std::ios::binary);
-    const std::string bytes = log_header(3) + framed(p.str());
+    const std::string bytes = log_header(3) + framed(p);
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
@@ -569,20 +594,20 @@ TEST_F(JournalTest, UnknownKindRecordsSurfaceAsSentinelsAndReadingContinues) {
     Journal journal({dir});
     first_bytes = journal.append(request_record(7, 1000));
   }
-  std::ostringstream unknown(std::ios::binary);
-  io::write_u64(unknown, 2);   // seq
-  io::write_u64(unknown, 99);  // kind this reader has never heard of
-  io::write_u64(unknown, 42);  // user_id (stable prefix across versions)
-  io::write_u64(unknown, 0xFEEDFACE);  // opaque payload bytes
-  std::ostringstream after(std::ios::binary);
-  io::write_u64(after, 3);
-  io::write_u64(after, static_cast<std::uint64_t>(RecordType::kPredict));
-  io::write_u64(after, 8);
-  io::write_u64(after, 5000);
+  std::string unknown;
+  put_u64(unknown, 2);   // seq
+  put_u64(unknown, 99);  // kind this reader has never heard of
+  put_u64(unknown, 42);  // user_id (stable prefix across versions)
+  put_u64(unknown, 0xFEEDFACE);  // opaque payload bytes
+  std::string after;
+  put_u64(after, 3);
+  put_u64(after, static_cast<std::uint64_t>(RecordType::kPredict));
+  put_u64(after, 8);
+  put_u64(after, 5000);
   {
     std::ofstream os(journal_log_path(dir),
                      std::ios::binary | std::ios::app);
-    const std::string bytes = framed(unknown.str()) + framed(after.str());
+    const std::string bytes = framed(unknown) + framed(after);
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 

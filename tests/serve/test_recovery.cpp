@@ -11,7 +11,6 @@
 #include <fstream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,7 +21,7 @@
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "common/parallel.hpp"
-#include "tensor/serialize.hpp"
+#include "common/bytes.hpp"
 #include "serve/delta.hpp"
 #include "serve/journal.hpp"
 #include "serve/server.hpp"
@@ -683,11 +682,11 @@ TEST_F(RecoveryTest, UnknownKindRecordQuarantinesOnlyThatSession) {
   crash_after_phase1(journaled_config(dir));
   // Append a CRC-intact record of kind 99 naming user 2 — what a newer
   // format revision that kept the framing would have written.
-  std::ostringstream payload(std::ios::binary);
-  io::write_u64(payload, 1000);  // seq (past everything journaled so far)
-  io::write_u64(payload, 99);    // kind
-  io::write_u64(payload, 2);     // user_id
-  const std::string p = payload.str();
+  std::string payload;
+  put_u64(payload, 1000);  // seq (past everything journaled so far)
+  put_u64(payload, 99);    // kind
+  put_u64(payload, 2);     // user_id
+  const std::string p = payload;
   std::string frame;
   for (const std::uint32_t v :
        {static_cast<std::uint32_t>(p.size()), crc32(p)}) {

@@ -2,73 +2,74 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
-namespace clear::io {
+namespace clear {
 namespace {
 
 TEST(Serialize, TensorRoundTrip) {
   Rng rng(1);
   Tensor t({3, 4, 5});
   t.fill_normal(rng, 0.0f, 2.0f);
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  write_tensor(ss, t);
-  const Tensor u = read_tensor(ss);
+  std::string bytes;
+  put_tensor(bytes, t);
+  ByteCursor in(bytes, "tensor");
+  const Tensor u = get_tensor(in);
   ASSERT_TRUE(u.same_shape(t));
   for (std::size_t i = 0; i < t.numel(); ++i) EXPECT_EQ(u[i], t[i]);
 }
 
 TEST(Serialize, Rank1RoundTrip) {
   const Tensor t({4}, {1, 2, 3, 4});
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  write_tensor(ss, t);
-  const Tensor u = read_tensor(ss);
+  std::string bytes;
+  put_tensor(bytes, t);
+  ByteCursor in(bytes, "tensor");
+  const Tensor u = get_tensor(in);
   EXPECT_EQ(u.rank(), 1u);
   EXPECT_EQ(u[2], 3.0f);
 }
 
 TEST(Serialize, MultipleTensorsSequential) {
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  write_tensor(ss, Tensor({2}, {1, 2}));
-  write_tensor(ss, Tensor({3}, {3, 4, 5}));
-  EXPECT_EQ(read_tensor(ss).numel(), 2u);
-  EXPECT_EQ(read_tensor(ss).numel(), 3u);
+  std::string bytes;
+  put_tensor(bytes, Tensor({2}, {1, 2}));
+  put_tensor(bytes, Tensor({3}, {3, 4, 5}));
+  ByteCursor in(bytes, "tensors");
+  EXPECT_EQ(get_tensor(in).numel(), 2u);
+  EXPECT_EQ(get_tensor(in).numel(), 3u);
 }
 
 TEST(Serialize, BadMagicThrows) {
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  ss.write("garbagegarbage!!", 16);
-  ss.seekg(0);
-  EXPECT_THROW(read_tensor(ss), Error);
+  ByteCursor in("garbagegarbage!!", "tensor");
+  EXPECT_THROW(get_tensor(in), Error);
 }
 
 TEST(Serialize, TruncatedStreamThrows) {
-  std::stringstream full(std::ios::in | std::ios::out | std::ios::binary);
-  write_tensor(full, Tensor({100}));
-  const std::string bytes = full.str();
-  std::stringstream cut(bytes.substr(0, bytes.size() / 2),
-                        std::ios::in | std::ios::binary);
-  EXPECT_THROW(read_tensor(cut), Error);
+  std::string full;
+  put_tensor(full, Tensor({100}));
+  const std::string cut = full.substr(0, full.size() / 2);
+  ByteCursor in(cut, "tensor");
+  EXPECT_THROW(get_tensor(in), Error);
 }
 
 TEST(Serialize, StringRoundTrip) {
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  write_string(ss, "hello world");
-  write_string(ss, "");
-  EXPECT_EQ(read_string(ss), "hello world");
-  EXPECT_EQ(read_string(ss), "");
+  std::string bytes;
+  put_blob64(bytes, "hello world");
+  put_blob64(bytes, "");
+  ByteCursor in(bytes, "strings");
+  EXPECT_EQ(in.blob64("first"), "hello world");
+  EXPECT_EQ(in.blob64("second"), "");
 }
 
 TEST(Serialize, ScalarsRoundTrip) {
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  write_u64(ss, 0xDEADBEEFCAFEull);
-  write_f64(ss, 3.14159);
-  EXPECT_EQ(read_u64(ss), 0xDEADBEEFCAFEull);
-  EXPECT_DOUBLE_EQ(read_f64(ss), 3.14159);
+  std::string bytes;
+  put_u64(bytes, 0xDEADBEEFCAFEull);
+  put_f64(bytes, 3.14159);
+  ByteCursor in(bytes, "scalars");
+  EXPECT_EQ(in.u64("u64"), 0xDEADBEEFCAFEull);
+  EXPECT_DOUBLE_EQ(in.f64("f64"), 3.14159);
 }
 
 }  // namespace
-}  // namespace clear::io
+}  // namespace clear

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Build and run the sensitive test binaries under the configured sanitizers.
-# Supersedes run_tsan_tests.sh (kept as a thin TSAN-only wrapper): this
-# script also covers the fault-injection / integrity suites under
-# UndefinedBehaviorSanitizer, where bit-twiddling CRC code, byte-flip
-# corruption paths, and NaN-heavy sanitization are most likely to trip UB.
+# Build and run the sensitive test binaries under the configured sanitizers:
+# the concurrency suites under ThreadSanitizer, and the fault-injection /
+# integrity suites under UndefinedBehaviorSanitizer, where bit-twiddling CRC
+# code, byte-flip corruption paths, and NaN-heavy sanitization are most
+# likely to trip UB.
 #
 #   tools/run_sanitizer_tests.sh [thread|undefined|address|obsoff|all] \
 #       [build-dir-prefix]
@@ -12,7 +12,10 @@
 # the artifact-container / delta-codec fuzz suites (tests/artifact) plus
 # the fault suites under ASan+UBSAN — the frame decoder and the artifact
 # codecs chew adversarial byte streams, exactly where an out-of-bounds
-# read would hide. `obsoff`
+# read would hide. Both the `undefined` and `address` legs run the
+# every-format fuzz harness (tests/formats); under ASan, which defeats its
+# RLIMIT_AS cap, max_allocation_size_mb caps each allocation instead.
+# `obsoff`
 # builds clear-cli with -DCLEAR_OBS=OFF and runs the serve smoke's golden
 # comparison against it (instrumentation compiled out must not change a
 # byte of output).
@@ -46,7 +49,7 @@ run_ubsan() {
   local dir="${PREFIX}-ubsan"
   cmake -B "$dir" -S . -DCLEAR_SANITIZE=undefined -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$dir" -j --target test_fault test_common test_nn test_features \
-    test_kernel_equivalence test_net test_serve test_delta
+    test_kernel_equivalence test_net test_serve test_delta test_formats
   export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
   echo "== test_fault (UBSAN) =="
   "$dir/tests/test_fault"
@@ -58,6 +61,8 @@ run_ubsan() {
   "$dir/tests/test_net" --gtest_filter='Protocol*'
   echo "== test_delta (UBSAN, artifact container + delta codec fuzz) =="
   "$dir/tests/test_delta"
+  echo "== test_formats (UBSAN, byte pins + every-format fuzz under RLIMIT_AS) =="
+  "$dir/tests/test_formats"
   echo "== test_common (UBSAN) =="
   "$dir/tests/test_common"
   echo "== test_nn (UBSAN, checkpoint corruption paths) =="
@@ -69,7 +74,8 @@ run_ubsan() {
 run_asan() {
   local dir="${PREFIX}-asan"
   cmake -B "$dir" -S . -DCLEAR_SANITIZE=address -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build "$dir" -j --target test_net test_fault test_serve test_delta
+  cmake --build "$dir" -j --target test_net test_fault test_serve test_delta \
+    test_formats
   export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
   export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
   echo "== test_net (ASAN, full wire suite: fuzzed decode, loopback, faults) =="
@@ -81,6 +87,9 @@ run_asan() {
   echo "== test_delta (ASAN, fuzzed containers + corrupt delta payloads) =="
   "$dir/tests/test_delta" \
     --gtest_filter='ArtifactStore.Fuzz*:ArtifactStore.Rejects*:DeltaCodec.Rejects*:DeltaCodec.RoundTrips*'
+  echo "== test_formats (ASAN, byte pins + every-format fuzz, 256 MiB allocation cap) =="
+  ASAN_OPTIONS="max_allocation_size_mb=256 allocator_may_return_null=0 ${ASAN_OPTIONS}" \
+    "$dir/tests/test_formats"
 }
 
 run_obsoff() {
