@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/rng.hpp"
 #include "nn/model.hpp"
 #include "nn/trainer.hpp"
@@ -18,11 +20,20 @@ CnnLstmConfig tiny() {
   return c;
 }
 
-class VariantSweep : public ::testing::TestWithParam<ModelFactory> {};
+// The printed name makes the test name: a bare ModelFactory would print
+// as a function address, which moves with every build and every run.
+struct Variant {
+  const char* name;
+  ModelFactory build;
+};
+
+void PrintTo(const Variant& v, std::ostream* os) { *os << v.name; }
+
+class VariantSweep : public ::testing::TestWithParam<Variant> {};
 
 TEST_P(VariantSweep, ForwardShapeIsLogits) {
   Rng rng(1);
-  auto model = GetParam()(tiny(), rng);
+  auto model = GetParam().build(tiny(), rng);
   Rng xr(2);
   Tensor x({3, 1, 16, 8});
   x.fill_normal(xr, 0.0f, 1.0f);
@@ -50,7 +61,7 @@ TEST_P(VariantSweep, TrainsOnSeparableTask) {
     data.labels.push_back(i % 2);
   }
   Rng rng(4);
-  auto model = GetParam()(tiny(), rng);
+  auto model = GetParam().build(tiny(), rng);
   TrainConfig tc;
   tc.epochs = 14;
   tc.batch_size = 8;
@@ -61,9 +72,11 @@ TEST_P(VariantSweep, TrainsOnSeparableTask) {
   EXPECT_GT(evaluate(*model, data).accuracy, 0.7);
 }
 
-INSTANTIATE_TEST_SUITE_P(Architectures, VariantSweep,
-                         ::testing::Values(&build_cnn_lstm, &build_cnn_only,
-                                           &build_lstm_only));
+INSTANTIATE_TEST_SUITE_P(
+    Architectures, VariantSweep,
+    ::testing::Values(Variant{"cnn_lstm", &build_cnn_lstm},
+                      Variant{"cnn_only", &build_cnn_only},
+                      Variant{"lstm_only", &build_lstm_only}));
 
 TEST(ModelVariants, ParameterCountsDiffer) {
   Rng r1(1), r2(2), r3(3);
