@@ -351,31 +351,24 @@ constexpr GemmShape kI8Shapes[] = {
 };
 constexpr std::size_t kElemN = 123 * 12;  ///< One feature map, flattened.
 
-/// Best-of-`reps` wall time of `fn(i)` for every ISA `isas[i]`, the ISAs
-/// taking turns rep by rep. A host slowdown longer than one rep (a busy
-/// neighbour, a frequency dip) then costs every ISA alike instead of only
-/// the one timed during it, so the scalar-relative speedups stay steady.
-std::vector<double> best_ms_interleaved(
-    int reps, std::size_t isa_count,
-    const std::function<void(std::size_t)>& fn) {
-  std::vector<double> best(isa_count, 1e300);
-  for (int r = 0; r < reps; ++r)
-    for (std::size_t i = 0; i < isa_count; ++i) {
-      const auto t0 = std::chrono::steady_clock::now();
-      fn(i);
-      const auto t1 = std::chrono::steady_clock::now();
-      best[i] = std::min(
-          best[i], std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
+double best_ms_of(int reps, const std::function<void()>& fn) {
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    const auto t1 = std::chrono::steady_clock::now();
+    best = std::min(best,
+                    std::chrono::duration<double, std::milli>(t1 - t0).count());
+  }
   return best;
 }
 
 /// Repetitions scaled so each (shape, isa) cell costs roughly the same
 /// wall-clock regardless of shape size; floor keeps tiny shapes honest.
 int reps_for(std::size_t flops) {
-  constexpr std::size_t kBudget = 1600u * 1000u * 1000u;  // ~0.4 s @ 4 GFLOP/s
+  constexpr std::size_t kBudget = 400u * 1000u * 1000u;  // ~0.1 s @ 4 GFLOP/s
   const std::size_t r = kBudget / (flops == 0 ? 1 : flops);
-  return static_cast<int>(std::clamp<std::size_t>(r, 20, 8000));
+  return static_cast<int>(std::clamp<std::size_t>(r, 5, 2000));
 }
 
 struct SweepRow {
@@ -443,27 +436,23 @@ int run_kernel_sweep(const std::string& json_path) {
     const Tensor bias = random_tensor({s.n}, 103);
     const kernels::Epilogue ep{kernels::BiasMode::kPerCol, bias.data(),
                                kernels::Activation::kRelu};
-    // One output per ISA; isas[0] is the scalar oracle.
-    std::vector<std::vector<float>> c(isas.size(),
-                                      std::vector<float>(s.m * s.n));
-    const std::vector<double> ms =
-        best_ms_interleaved(reps_for(2 * s.m * s.k * s.n), isas.size(),
-                            [&](std::size_t i) {
-                              std::vector<float>& ci = c[i];
-                              std::memset(ci.data(), 0,
-                                          ci.size() * sizeof(float));
-                              kernels::table(isas[i]).gemm_f32(
-                                  a.data(), b.data(), ci.data(), s.m, s.k,
-                                  s.n, &ep);
-                              benchmark::DoNotOptimize(ci.data());
-                            });
-    for (std::size_t i = 0; i < isas.size(); ++i) {
-      if (std::memcmp(c[i].data(), c[0].data(), c[i].size() * sizeof(float)))
+    std::vector<float> c(s.m * s.n), ref;
+    const int reps = reps_for(2 * s.m * s.k * s.n);
+    for (const kernels::Isa isa : isas) {
+      const kernels::KernelTable& kt = kernels::table(isa);
+      const double ms = best_ms_of(reps, [&] {
+        std::memset(c.data(), 0, c.size() * sizeof(float));
+        kt.gemm_f32(a.data(), b.data(), c.data(), s.m, s.k, s.n, &ep);
+        benchmark::DoNotOptimize(c.data());
+      });
+      if (isa == kernels::Isa::kScalar)
+        ref = c;
+      else if (std::memcmp(ref.data(), c.data(), c.size() * sizeof(float)))
         bit_identical = false;
       rows.push_back({std::string("gemm_f32.") + s.name,
-                      kernels::isa_name(isas[i]), s.m, s.k, s.n, ms[i],
+                      kernels::isa_name(isa), s.m, s.k, s.n, ms,
                       2.0 * static_cast<double>(s.m * s.k * s.n) /
-                          (ms[i] * 1e6)});
+                          (ms * 1e6)});
     }
   }
 
@@ -475,22 +464,22 @@ int run_kernel_sweep(const std::string& json_path) {
       v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
     for (std::int8_t& v : b)
       v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
-    std::vector<std::vector<std::int32_t>> c(
-        isas.size(), std::vector<std::int32_t>(s.m * s.n));
-    const std::vector<double> ms =
-        best_ms_interleaved(reps_for(2 * s.m * s.k * s.n), isas.size(),
-                            [&](std::size_t i) {
-                              kernels::table(isas[i]).gemm_i8(
-                                  a.data(), b.data(), c[i].data(), s.m, s.k,
-                                  s.n);
-                              benchmark::DoNotOptimize(c[i].data());
-                            });
-    for (std::size_t i = 0; i < isas.size(); ++i) {
-      if (c[i] != c[0]) bit_identical = false;
+    std::vector<std::int32_t> c(s.m * s.n), ref;
+    const int reps = reps_for(2 * s.m * s.k * s.n);
+    for (const kernels::Isa isa : isas) {
+      const kernels::KernelTable& kt = kernels::table(isa);
+      const double ms = best_ms_of(reps, [&] {
+        kt.gemm_i8(a.data(), b.data(), c.data(), s.m, s.k, s.n);
+        benchmark::DoNotOptimize(c.data());
+      });
+      if (isa == kernels::Isa::kScalar)
+        ref = c;
+      else if (ref != c)
+        bit_identical = false;
       rows.push_back({std::string("gemm_i8.") + s.name,
-                      kernels::isa_name(isas[i]), s.m, s.k, s.n, ms[i],
+                      kernels::isa_name(isa), s.m, s.k, s.n, ms,
                       2.0 * static_cast<double>(s.m * s.k * s.n) /
-                          (ms[i] * 1e6)});
+                          (ms * 1e6)});
     }
   }
 
@@ -517,24 +506,26 @@ int run_kernel_sweep(const std::string& json_path) {
   };
   for (const ElemBench& e : elems) {
     const Tensor src = random_tensor({kElemN}, 105);
-    std::vector<std::vector<float>> x(isas.size(),
-                                      std::vector<float>(kElemN));
-    // 200 calls per rep so a cell is micro-seconds, not nano.
-    const std::vector<double> ms =
-        best_ms_interleaved(200, isas.size(), [&](std::size_t i) {
-          const kernels::KernelTable& kt = kernels::table(isas[i]);
-          for (int it = 0; it < 200; ++it) {
-            std::memcpy(x[i].data(), src.data(), kElemN * sizeof(float));
-            e.fn(kt, x[i].data(), kElemN);
-          }
-          benchmark::DoNotOptimize(x[i].data());
-        });
-    for (std::size_t i = 0; i < isas.size(); ++i) {
-      if (std::memcmp(x[i].data(), x[0].data(), kElemN * sizeof(float)))
+    std::vector<float> x(kElemN), ref;
+    // ~2000 calls per rep so a cell is micro-seconds, not nano.
+    const int reps = 50;
+    for (const kernels::Isa isa : isas) {
+      const kernels::KernelTable& kt = kernels::table(isa);
+      const double ms = best_ms_of(reps, [&] {
+                          for (int it = 0; it < 200; ++it) {
+                            std::memcpy(x.data(), src.data(),
+                                        kElemN * sizeof(float));
+                            e.fn(kt, x.data(), kElemN);
+                          }
+                          benchmark::DoNotOptimize(x.data());
+                        }) /
+                        200.0;
+      if (isa == kernels::Isa::kScalar)
+        ref = x;
+      else if (std::memcmp(ref.data(), x.data(), x.size() * sizeof(float)))
         bit_identical = false;
-      rows.push_back({std::string("elem.") + e.name,
-                      kernels::isa_name(isas[i]), 1, 1, kElemN,
-                      ms[i] / 200.0, 0.0});
+      rows.push_back({std::string("elem.") + e.name, kernels::isa_name(isa),
+                      1, 1, kElemN, ms, 0.0});
     }
   }
 

@@ -20,17 +20,6 @@ constexpr std::uint64_t kMetaMagic = 0x434C4541524D4554ull;  // "CLEARMET"
 //     parser is shared.
 constexpr std::uint64_t kMetaVersion = 2;
 
-void put_point(std::string& out, const cluster::Point& p) {
-  put_u64(out, p.size());
-  for (const double v : p) put_f64(out, v);
-}
-
-cluster::Point get_point(ByteCursor& in) {
-  cluster::Point p(in.count(in.u64("point dimension"), 8, "point dimension"));
-  for (double& v : p) v = in.f64("point value");
-  return p;
-}
-
 void put_index_vector(std::string& out, const std::vector<std::size_t>& v) {
   put_u64(out, v.size());
   for (const std::size_t x : v) put_u64(out, x);
@@ -62,15 +51,15 @@ void put_meta_payload(std::string& out, const ClearConfig& config,
   // Fitted users.
   put_index_vector(out, state.users);
   // Normalizer moments.
-  put_point(out, state.normalizer.mean());
-  put_point(out, state.normalizer.stddev());
+  put_f64_vector(out, state.normalizer.mean());
+  put_f64_vector(out, state.normalizer.stddev());
   // Clustering.
   put_index_vector(out, state.clustering.user_cluster);
   put_u64(out, state.clustering.clusters.size());
   for (const cluster::ClusterModel& c : state.clustering.clusters) {
-    put_point(out, c.centroid);
+    put_f64_vector(out, c.centroid);
     put_u64(out, c.sub_centroids.size());
-    for (const cluster::Point& sc : c.sub_centroids) put_point(out, sc);
+    for (const cluster::Point& sc : c.sub_centroids) put_f64_vector(out, sc);
     put_index_vector(out, c.members);
   }
   put_u64(out, state.clustering.rounds_run);
@@ -97,8 +86,8 @@ void get_meta_payload(ByteCursor& in, ClearConfig& config,
   config.data.windows_per_trial = config.model.window_count;
 
   state.users = get_index_vector(in);
-  cluster::Point mean = get_point(in);
-  cluster::Point stddev = get_point(in);
+  cluster::Point mean = in.f64_vector("normalizer mean");
+  cluster::Point stddev = in.f64_vector("normalizer stddev");
   state.normalizer = features::FeatureNormalizer::from_moments(
       std::move(mean), std::move(stddev));
   state.clustering.user_cluster = get_index_vector(in);
@@ -107,12 +96,12 @@ void get_meta_payload(ByteCursor& in, ClearConfig& config,
             "implausible cluster count");
   for (std::uint64_t k = 0; k < n_clusters; ++k) {
     cluster::ClusterModel c;
-    c.centroid = get_point(in);
+    c.centroid = in.f64_vector("centroid");
     const std::uint64_t n_sub = in.u64("sub-cluster count");
     in.expect(n_sub >= 1 && n_sub < 1024, "sub-cluster count",
               "implausible sub-cluster count");
     for (std::uint64_t i = 0; i < n_sub; ++i)
-      c.sub_centroids.push_back(get_point(in));
+      c.sub_centroids.push_back(in.f64_vector("sub-centroid"));
     c.members = get_index_vector(in);
     state.clustering.clusters.push_back(std::move(c));
   }

@@ -24,6 +24,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace clear {
 
@@ -58,6 +59,14 @@ inline void patch_le(std::string& out, std::size_t at, T v) {
 /// `n` floats as consecutive f32 words (one bulk copy).
 inline void put_f32s(std::string& out, const float* v, std::size_t n) {
   out.append(reinterpret_cast<const char*>(v), n * sizeof(float));
+}
+
+/// `u64 count`, then that many f64 words: a cluster::Point, a normalizer
+/// row.
+inline void put_f64_vector(std::string& out, const std::vector<double>& v) {
+  put_u64(out, v.size());
+  out.append(reinterpret_cast<const char*>(v.data()),
+             v.size() * sizeof(double));
 }
 
 /// Length-prefixed byte strings: `u32 len` / `u64 len`, then the bytes.
@@ -106,6 +115,17 @@ class ByteCursor {
     if (n == 0) return;  // `out` may be null; memcpy must not see it.
     std::memcpy(out, bytes_.data() + pos_, n * sizeof(float));
     pos_ += n * sizeof(float);
+  }
+
+  /// `u64 count`, then that many f64 words (put_f64_vector); the count is
+  /// checked against the bytes left before the vector is sized.
+  std::vector<double> f64_vector(const char* field) {
+    std::vector<double> v(count(u64(field), sizeof(double), field));
+    if (!v.empty()) {
+      std::memcpy(v.data(), bytes_.data() + pos_, v.size() * sizeof(double));
+      pos_ += v.size() * sizeof(double);
+    }
+    return v;
   }
 
   /// A count read from the input, checked against the bytes that remain:

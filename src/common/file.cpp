@@ -70,7 +70,12 @@ void write_file_atomic(const std::string& path, std::string_view bytes,
 
 std::optional<std::string> read_file(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return std::nullopt;
+  if (fd < 0) {
+    const int err = errno;
+    if (err == ENOENT || err == ENOTDIR) return std::nullopt;
+    CLEAR_CHECK_MSG(false, "cannot open " << path << ": "
+                                          << std::strerror(err));
+  }
   struct stat st {};
   std::string bytes;
   if (::fstat(fd, &st) == 0 && st.st_size > 0)

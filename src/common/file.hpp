@@ -21,8 +21,11 @@ namespace clear {
 void write_file_atomic(const std::string& path, std::string_view bytes,
                        const char* site, bool durable = false);
 
-/// The whole file, or nullopt when it cannot be opened (absent). Throws
-/// clear::Error when an open file fails to read.
+/// The whole file, or nullopt when it does not exist (ENOENT, or ENOTDIR
+/// for a missing parent). Any other failure to open or read it — EACCES,
+/// EMFILE, ELOOP, a directory at `path` — throws clear::Error naming the
+/// path and the errno, so an unreadable file is never mistaken for an
+/// absent one.
 std::optional<std::string> read_file(const std::string& path);
 
 }  // namespace clear

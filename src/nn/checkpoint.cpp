@@ -45,6 +45,23 @@ std::string encode_entries(const std::vector<EntryRef>& entries,
   return out;
 }
 
+/// Append up to `n` more bytes of `is` to `out`, stopping early at its end.
+/// Reads in bounded chunks, so a hostile length costs no more memory than
+/// the stream really holds.
+void append_from(std::istream& is, std::uint64_t n, std::string& out) {
+  constexpr std::uint64_t kChunk = 1u << 20;
+  while (n > 0) {
+    const std::size_t at = out.size();
+    const auto want = static_cast<std::size_t>(std::min(n, kChunk));
+    out.resize(at + want);
+    is.read(out.data() + at, static_cast<std::streamsize>(want));
+    const auto got = static_cast<std::size_t>(is.gcount());
+    out.resize(at + got);
+    if (got < want) return;
+    n -= got;
+  }
+}
+
 }  // namespace
 
 std::string encode_checkpoint(const std::vector<NamedTensor>& params,
@@ -122,17 +139,21 @@ void load_checkpoint_blob(std::string_view blob, Sequential& model) {
 }
 
 void load_checkpoint(std::istream& is, Sequential& model) {
-  // The rest of the stream, in as few bulk reads as its buffer allows (a
-  // string stream hands over everything in the first one).
+  // One checkpoint and nothing after it: a v2 frame is its 24-byte head
+  // (magic, version, payload_len), the payload and the 8-byte CRC footer.
+  // A v1 blob has no length field, so it runs to the end of the stream.
+  constexpr std::uint64_t kHead = 24;
+  constexpr std::uint64_t kAll = ~std::uint64_t{0};
   std::string blob;
-  std::streambuf* buf = is.rdbuf();
-  for (std::streamsize got = 1; got > 0;) {
-    const std::size_t at = blob.size();
-    blob.resize(at + static_cast<std::size_t>(
-                         std::max<std::streamsize>(buf->in_avail(), 4096)));
-    got = buf->sgetn(blob.data() + at, static_cast<std::streamsize>(
-                                           blob.size() - at));
-    blob.resize(at + static_cast<std::size_t>(got));
+  append_from(is, kHead, blob);
+  ByteCursor head(blob, "checkpoint");
+  const std::uint64_t magic = blob.size() >= 8 ? head.u64("magic") : 0;
+  if (magic == kCheckpointMagicV2 && blob.size() == kHead) {
+    head.u64("version");
+    const std::uint64_t len = head.u64("payload_len");
+    append_from(is, len > kAll - 8 ? kAll : len + 8, blob);
+  } else if (magic == kCheckpointMagicV1) {
+    append_from(is, kAll, blob);
   }
   load_checkpoint_blob(blob, model);
 }

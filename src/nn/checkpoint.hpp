@@ -43,7 +43,9 @@ std::string checkpoint_blob(Sequential& model,
                             CheckpointFormat format = CheckpointFormat::kCrcV2);
 
 /// Restore parameter values in place (accepts v1 and v2 blobs). Throws
-/// clear::Error on any mismatch, truncation, or CRC failure.
+/// clear::Error on any mismatch, truncation, or CRC failure. The stream
+/// form reads exactly one v2 checkpoint and leaves what follows it in the
+/// stream; a v1 checkpoint, which has no length field, is read to EOF.
 void load_checkpoint(std::istream& is, Sequential& model);
 void load_checkpoint_file(const std::string& path, Sequential& model);
 void load_checkpoint_blob(std::string_view blob, Sequential& model);

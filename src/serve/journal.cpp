@@ -36,17 +36,6 @@ constexpr std::uint64_t kMinFormatVersion = kJournalMinFormatVersion;
 /// so anything near this is a corrupt length field, not a real record.
 constexpr std::uint32_t kMaxRecordBytes = 16u << 20;
 
-void put_point(std::string& out, const cluster::Point& p) {
-  put_u64(out, p.size());
-  for (const double v : p) put_f64(out, v);
-}
-
-cluster::Point get_point(ByteCursor& in) {
-  cluster::Point p(in.count(in.u64("point size"), 8, "point size"));
-  for (double& v : p) v = in.f64("point value");
-  return p;
-}
-
 SessionState get_state(ByteCursor& in, std::uint64_t version) {
   const std::uint64_t raw = in.u64("session state");
   // v1 predates the adaptation states, so 6/7 in a v1 file is corruption.
@@ -79,7 +68,7 @@ void encode_record(std::string& out, const JournalRecord& r) {
       break;
     case RecordType::kObservation:
     case RecordType::kReassessObs:
-      put_point(out, r.point);
+      put_f64_vector(out, r.point);
       break;
     case RecordType::kAssign:
     case RecordType::kReassign:
@@ -140,7 +129,7 @@ JournalRecord decode_record(std::string_view payload) {
       break;
     case RecordType::kObservation:
     case RecordType::kReassessObs:
-      r.point = get_point(in);
+      r.point = in.f64_vector("point");
       break;
     case RecordType::kAssign:
     case RecordType::kReassign:
@@ -186,7 +175,7 @@ void put_image(std::string& out, const SessionImage& img) {
   put_u64(out, img.good_streak);
   put_u64(out, img.cluster);
   put_u64(out, img.observations.size());
-  for (const cluster::Point& p : img.observations) put_point(out, p);
+  for (const cluster::Point& p : img.observations) put_f64_vector(out, p);
   put_u64(out, img.labelled.size());
   for (const LabelledMap& m : img.labelled) {
     put_label(out, m.label);
@@ -220,7 +209,7 @@ SessionImage get_image(ByteCursor& in, std::uint64_t version) {
   // u64 label plus a 16-byte tensor head.
   img.observations.resize(
       in.count(in.u64("observation count"), 8, "observation count"));
-  for (cluster::Point& p : img.observations) p = get_point(in);
+  for (cluster::Point& p : img.observations) p = in.f64_vector("observation");
   img.labelled.resize(
       in.count(in.u64("labelled-map count"), 24, "labelled-map count"));
   for (LabelledMap& m : img.labelled) {

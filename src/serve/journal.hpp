@@ -221,15 +221,17 @@ struct JournalReadResult {
 };
 
 /// Read every intact record. Never throws for corruption — a damaged tail
-/// is an expected crash artifact, reported in the result instead. Accepts
+/// is an expected crash artifact, reported in the result instead — but
+/// throws clear::Error when journal.log exists and cannot be read, so an
+/// unreadable log never passes for a missing one. Accepts
 /// format v1 ("CLRWAL01") and v2 ("CLRWAL02") logs; CRC-intact records with
 /// an unrecognized kind come back as RecordType::kUnknown (raw_kind +
 /// file_offset set) and reading continues past them.
 JournalReadResult read_journal(const std::string& directory);
 
 /// nullopt when snapshot.snap does not exist; throws clear::Error when it
-/// exists but fails validation (the caller decides whether to continue
-/// journal-only). Accepts format v1 ("CLRSNP01") and v2 ("CLRSNP02")
+/// exists but cannot be read or fails validation (the caller decides
+/// whether to continue journal-only). Accepts format v1 ("CLRSNP01") and v2 ("CLRSNP02")
 /// snapshots; v1 leaves the adaptation counters/state zero/idle.
 std::optional<SnapshotData> read_snapshot(const std::string& directory);
 
@@ -244,7 +246,8 @@ void write_user_checkpoint(const std::string& directory,
                            std::uint64_t user_id, const std::string& blob,
                            bool do_fsync);
 
-/// The stored blob, or an empty string when absent.
+/// The stored blob, or an empty string when absent. Throws clear::Error
+/// when the file exists but cannot be read.
 std::string read_user_checkpoint(const std::string& directory,
                                  std::uint64_t user_id);
 

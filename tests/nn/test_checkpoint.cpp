@@ -38,6 +38,27 @@ TEST(Checkpoint, StreamRoundTripRestoresWeights) {
       EXPECT_EQ(pa[i]->value[j], pb[i]->value[j]);
 }
 
+// The stream form reads one v2 checkpoint, not the rest of the stream: a
+// caller that stores more after it (another checkpoint, its own data) gets
+// those bytes back untouched.
+TEST(Checkpoint, StreamLoadConsumesExactlyOneCheckpoint) {
+  Rng r1(1), r2(2), r3(3);
+  auto a = build_cnn_lstm(tiny_model_config(), r1);
+  auto b = build_cnn_lstm(tiny_model_config(), r2);
+  auto c = build_cnn_lstm(tiny_model_config(), r3);
+  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+  save_checkpoint(ss, *a);
+  save_checkpoint(ss, *b);
+  ss << "trailer";
+  load_checkpoint(ss, *c);
+  EXPECT_EQ(c->parameters()[0]->value[0], a->parameters()[0]->value[0]);
+  load_checkpoint(ss, *c);
+  EXPECT_EQ(c->parameters()[0]->value[0], b->parameters()[0]->value[0]);
+  std::string rest;
+  ss >> rest;
+  EXPECT_EQ(rest, "trailer");
+}
+
 TEST(Checkpoint, RestoredModelGivesIdenticalOutputs) {
   Rng r1(3), r2(4), rx(5);
   auto a = build_cnn_lstm(tiny_model_config(), r1);

@@ -408,6 +408,62 @@ TEST_F(RecoveryTest, CorruptSnapshotQuarantinesEverySessionSeenInReplay) {
   EXPECT_EQ(restored.sessions().sessions().size(), 2u);
 }
 
+// Regression: an unreadable snapshot (open() fails with something other
+// than ENOENT, or read() does) must count as corrupt, not as absent —
+// "absent" would rebuild every snapshot-covered session COLD from the
+// truncated journal and drop its state without a signal.
+TEST_F(RecoveryTest, UnreadableSnapshotQuarantinesLikeACorruptOne) {
+  auto& f = fixture();
+  const std::string path = snapshot_path(dir);
+  // A symlink to itself fails open() with ELOOP, even for root; a
+  // directory opens but fails read() with EISDIR.
+  const std::vector<std::pair<const char*, void (*)(const std::string&)>>
+      unreadable = {
+          {"symlink loop",
+           [](const std::string& p) {
+             fs::create_symlink(fs::path(p).filename(), p);
+           }},
+          {"directory", [](const std::string& p) { fs::create_directory(p); }},
+      };
+  for (const auto& [what, make_unreadable] : unreadable) {
+    SCOPED_TRACE(what);
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    {
+      Server server(f.source, journaled_config(dir));
+      server.open_journal();
+      server.run(phase1());
+      server.snapshot_now();
+      server.run(phase2());  // Journal tail names users 1, 2, and 3.
+    }
+    ASSERT_TRUE(fs::remove(path));
+    make_unreadable(path);
+    EXPECT_THROW(read_snapshot(dir), Error);
+
+    Server restored(f.source, journaled_config(dir));
+    const RecoveryReport report = restored.recover();
+    EXPECT_TRUE(report.snapshot_corrupt);
+    EXPECT_FALSE(report.snapshot_loaded);
+    EXPECT_FALSE(report.clean());
+    EXPECT_EQ(report.records_replayed, 0u);
+    EXPECT_EQ(report.sessions, 0u);
+    EXPECT_EQ(report.session_fallbacks, 3u);
+  }
+}
+
+// An unreadable journal.log is an error, never an absent log: recovery
+// refuses to start instead of restoring from the snapshot alone.
+TEST_F(RecoveryTest, UnreadableJournalFailsRecoveryInsteadOfReadingAsMissing) {
+  auto& f = fixture();
+  crash_after_phase1(journaled_config(dir));
+  const std::string log = journal_log_path(dir);
+  ASSERT_TRUE(fs::remove(log));
+  fs::create_symlink(fs::path(log).filename(), log);
+  EXPECT_THROW(read_journal(dir), Error);
+  Server restored(f.source, journaled_config(dir));
+  EXPECT_THROW(restored.recover(), Error);
+}
+
 TEST_F(RecoveryTest, CorruptPersonalCheckpointDemotesOnlyThatSession) {
   auto& f = fixture();
   crash_after_phase1(journaled_config(dir));

@@ -12,9 +12,7 @@ the gate; that is exactly the "someone quietly broke the AVX2 GEMM" signal
 the perf trajectory exists to catch. ISAs present in the baseline but not
 runnable on this host are skipped with a note, never failed. The sweep's
 built-in cross-ISA bit-identity check (`bit_identical`) is enforced
-unconditionally. With --runs N the binary runs N times and each speedup is
-the median over the runs, so one run's host noise cannot fail the gate on
-its own; bit identity must hold in every run.
+unconditionally.
 
 clear-bench-loadgen-v1 (bench_loadgen --json / clear-cli loadgen --json).
 Compares the `ratios` object. `answered_fraction` and `ok_fraction` are
@@ -38,8 +36,6 @@ Usage:
 Options:
   --tolerance FRAC   allowed fractional loss (default 0.15)
   --bench-args STR   extra whitespace-split args for --bench (e.g. "--quick")
-  --runs N           run --bench N times, gate the median speedups
-                     (clear-bench-kernels-v1 only; default 1)
   --update           rewrite the baseline from the current run and exit 0
 
 Exit codes: 0 pass, 1 regression or malformed input, 2 usage error.
@@ -47,7 +43,6 @@ Exit codes: 0 pass, 1 regression or malformed input, 2 usage error.
 
 import argparse
 import json
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -71,21 +66,6 @@ def run_bench(bench, extra_args):
         if proc.returncode != 0:
             sys.exit(f"error: {bench} --json exited {proc.returncode}")
         return load(tmp.name)
-
-
-def median_kernels(runs):
-    """Merges clear-bench-kernels-v1 runs: every speedup is the median over
-    the runs, bit identity holds only if it held in every run, and the
-    per-cell `results` are the first run's."""
-    merged = dict(runs[0])
-    merged["bit_identical"] = all(r.get("bit_identical", False) for r in runs)
-    merged["speedups"] = {
-        bench_name: {
-            isa: statistics.median(r["speedups"][bench_name][isa]
-                                   for r in runs)
-            for isa in by_isa}
-        for bench_name, by_isa in runs[0].get("speedups", {}).items()}
-    return merged
 
 
 def compare_kernels(current, baseline, tolerance):
@@ -201,25 +181,13 @@ def main():
     ap.add_argument("--tolerance", type=float, default=0.15)
     ap.add_argument("--bench-args", default="",
                     help="extra args passed to the --bench binary")
-    ap.add_argument("--runs", type=int, default=1)
     ap.add_argument("--update", action="store_true")
     args = ap.parse_args()
     if bool(args.bench) == bool(args.current):
         ap.error("exactly one of --bench / --current is required")
-    if args.runs < 1 or (args.runs > 1 and not args.bench):
-        ap.error("--runs needs --bench and a count >= 1")
 
-    if args.bench:
-        runs = [run_bench(args.bench, args.bench_args.split())
-                for _ in range(args.runs)]
-        current = runs[0]
-        if len(runs) > 1:
-            if current["schema"] != "clear-bench-kernels-v1":
-                sys.exit("error: --runs > 1 is only defined for "
-                         "clear-bench-kernels-v1")
-            current = median_kernels(runs)
-    else:
-        current = load(args.current)
+    current = (run_bench(args.bench, args.bench_args.split())
+               if args.bench else load(args.current))
     schema = current["schema"]
 
     if schema == "clear-bench-kernels-v1" and \
