@@ -1,8 +1,6 @@
 #include "net/client.hpp"
 
-#include <poll.h>
-
-#include <cerrno>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -11,10 +9,8 @@ namespace clear::net {
 BlockingClient::BlockingClient(const Endpoint& endpoint,
                                std::uint64_t stream_id,
                                ClientDeadlines deadlines)
-    : stream_(connect_tcp(endpoint, deadlines.connect_ms), stream_id),
+    : conn_(connect_tcp(endpoint, deadlines.connect_ms), stream_id),
       deadlines_(deadlines) {}
-
-BlockingClient::~BlockingClient() { stream_.close(); }
 
 void BlockingClient::send_bytes(const void* data, std::size_t n) {
   // Ceiling on waiting for a stalled fd to drain; a peer that stays
@@ -22,25 +18,13 @@ void BlockingClient::send_bytes(const void* data, std::size_t n) {
   // io deadline overrides it.
   constexpr int kWriteStallMs = 10000;
   const int wait_ms = deadlines_.io_ms > 0 ? deadlines_.io_ms : kWriteStallMs;
-  const char* p = static_cast<const char*>(data);
-  std::size_t sent = 0;
-  while (sent < n) {
-    const IoResult r = stream_.write_some(p + sent, n - sent);
-    if (r.closed) return;  // Peer (or the drop fault) severed us mid-send.
-    if (r.would_block || r.n == 0) {
-      // The fd is normally blocking, but a nonblocking fd (or a zero-byte
-      // send) must not spin: wait until writable, then retry.
-      pollfd pfd{};
-      pfd.fd = stream_.fd();
-      pfd.events = POLLOUT;
-      const int rc = ::poll(&pfd, 1, wait_ms);
-      CLEAR_CHECK_MSG(rc > 0, "net.timeout: send stalled (fd not writable "
-                              "after "
-                                  << wait_ms << "ms)");
-      continue;
-    }
-    sent += r.n;
-  }
+  conn_.queue({static_cast<const char*>(data), n});
+  // kClosed is not an error here: the peer (or the drop fault) severed us
+  // mid-send, and the next recv reports it.
+  CLEAR_CHECK_MSG(conn_.write_all(deadline_in(wait_ms)) !=
+                      Conn::Status::kTimeout,
+                  "net.timeout: send stalled (fd not writable after "
+                      << wait_ms << "ms)");
 }
 
 void BlockingClient::send_request(const WireRequest& request) {
@@ -59,31 +43,18 @@ void BlockingClient::send_shutdown() {
 }
 
 bool BlockingClient::recv_frame(Frame& out) {
-  char buf[16 * 1024];
-  while (true) {
-    const DecodeStatus status = decoder_.next(out);
-    if (status == DecodeStatus::kFrame) return true;
-    CLEAR_CHECK_MSG(status == DecodeStatus::kNeedMore,
-                    "client received a malformed frame: " << decoder_.error());
-    if (!stream_.open()) return false;
-    if (deadlines_.io_ms > 0) {
-      // With a deadline set, wait for readability first so a dead-but-
-      // connected server surfaces as an addressed timeout, not a hang.
-      pollfd pfd{};
-      pfd.fd = stream_.fd();
-      pfd.events = POLLIN;
-      int rc;
-      do {
-        rc = ::poll(&pfd, 1, deadlines_.io_ms);
-      } while (rc < 0 && errno == EINTR);
-      CLEAR_CHECK_MSG(rc != 0, "net.timeout: no frame received within "
-                                   << deadlines_.io_ms << "ms");
-      CLEAR_CHECK_MSG(rc > 0, "poll during recv failed");
-    }
-    const IoResult r = stream_.read_some(buf, sizeof(buf));
-    if (r.closed) return false;
-    decoder_.feed(buf, r.n);
+  switch (conn_.next_frame(out, deadline_in(deadlines_.io_ms))) {
+    case Conn::Status::kOk:
+      return true;
+    case Conn::Status::kClosed:
+      return false;
+    case Conn::Status::kTimeout:
+      throw Error("net.timeout: no frame received within " +
+                  std::to_string(deadlines_.io_ms) + "ms");
+    case Conn::Status::kError:
+      break;
   }
+  throw Error("client received a malformed frame: " + conn_.decoder().error());
 }
 
 bool BlockingClient::recv_response(WireResponse& out) {
@@ -113,7 +84,5 @@ bool BlockingClient::recv_drain_ack(WireDrainAck& out) {
     return true;
   }
 }
-
-void BlockingClient::close() { stream_.close(); }
 
 }  // namespace clear::net

@@ -1,9 +1,9 @@
 // BlockingClient: a simple synchronous peer for the wire protocol.
 //
 // Used by tests, the loopback harness, and the CLI's client paths. IO goes
-// through FaultedStream, so the deterministic network-fault knobs apply to
-// client traffic too — a test can arm a drop and watch its own connection
-// die mid-frame. Decode errors on received frames throw clear::Error
+// through a Conn (src/net/socket), so the deterministic network-fault knobs
+// apply to client traffic too — a test can arm a drop and watch its own
+// connection die mid-frame. Decode errors on received frames throw clear::Error
 // (a *client* receiving garbage from our own server is a bug, not an input);
 // adversarial decoding is exercised directly on FrameDecoder in the tests.
 #pragma once
@@ -34,7 +34,6 @@ class BlockingClient {
   explicit BlockingClient(const Endpoint& endpoint,
                           std::uint64_t stream_id = 1,
                           ClientDeadlines deadlines = {});
-  ~BlockingClient();
 
   BlockingClient(const BlockingClient&) = delete;
   BlockingClient& operator=(const BlockingClient&) = delete;
@@ -46,21 +45,20 @@ class BlockingClient {
   void send_bytes(const void* data, std::size_t n);
 
   /// Block until the next complete frame. False on connection close;
-  /// throws the addressed net.timeout error when io_ms elapses without the
-  /// socket turning readable.
+  /// throws the addressed net.timeout error when no frame completes within
+  /// io_ms.
   bool recv_frame(Frame& out);
   /// Convenience: next frame must be a kResponse / kDrainAck.
   bool recv_response(WireResponse& out);
   bool recv_drain_ack(WireDrainAck& out);
 
-  void close();
-  bool open() const { return stream_.open(); }
+  void close() { conn_.close(); }
+  bool open() const { return conn_.open(); }
   /// True when the armed net-drop fault severed this client's connection.
-  bool dropped() const { return stream_.dropped(); }
+  bool dropped() const { return conn_.dropped(); }
 
  private:
-  FaultedStream stream_;
-  FrameDecoder decoder_;
+  Conn conn_;
   ClientDeadlines deadlines_;
 };
 

@@ -4,12 +4,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <vector>
 
@@ -38,15 +38,6 @@ double exact_percentile(const std::vector<double>& sorted, double q) {
       std::max(1.0, std::min(rank, static_cast<double>(sorted.size()))));
   return sorted[idx - 1];
 }
-
-/// One nonblocking client connection with its own decoder and write buffer.
-struct LoadConn {
-  FaultedStream stream;
-  FrameDecoder decoder;
-  std::string outbuf;
-  std::size_t outpos = 0;
-  bool dead = false;
-};
 
 // Gap (us) request `i` contributes to the cumulative hashed schedule; zero
 // when the burstiness coin collapses it onto the previous arrival.
@@ -137,29 +128,6 @@ void write_responses_file(const std::string& path,
                   "loadgen failed writing responses file '" << path << "'");
 }
 
-void flush_conn(LoadConn& conn) {
-  while (conn.outpos < conn.outbuf.size()) {
-    const IoResult r = conn.stream.write_some(
-        conn.outbuf.data() + conn.outpos, conn.outbuf.size() - conn.outpos);
-    if (r.n > 0) {
-      conn.outpos += r.n;
-      continue;
-    }
-    if (r.closed) {
-      conn.dead = true;
-      conn.stream.close();
-    }
-    break;  // would_block (or dead): try again next loop.
-  }
-  if (conn.outpos >= conn.outbuf.size()) {
-    conn.outbuf.clear();
-    conn.outpos = 0;
-  } else if (conn.outpos > conn.outbuf.size() / 2) {
-    conn.outbuf.erase(0, conn.outpos);
-    conn.outpos = 0;
-  }
-}
-
 }  // namespace
 
 std::uint64_t scheduled_arrival_us(const LoadgenConfig& config,
@@ -218,16 +186,18 @@ LoadgenReport run_loadgen(const LoadgenConfig& config) {
   LoadgenReport report;
   report.offered_rps = config.rate_rps;
 
-  std::vector<std::unique_ptr<LoadConn>> conns;
+  // A connection is dead once closed: its requests count as dropped.
+  std::vector<Conn> conns;
   conns.reserve(config.connections);
-  for (std::size_t i = 0; i < config.connections; ++i) {
-    auto conn = std::make_unique<LoadConn>();
-    // Stream ids offset by 1000 so loadgen fault decisions do not collide
-    // with the server's connection ids under one NetFaultSpec.
-    conn->stream = FaultedStream(connect_tcp(config.target), 1000 + i);
-    set_nonblocking(conn->stream.fd(), true);
-    conns.push_back(std::move(conn));
-  }
+  // Stream ids offset by 1000 so loadgen fault decisions do not collide
+  // with the server's connection ids under one NetFaultSpec.
+  for (std::size_t i = 0; i < config.connections; ++i)
+    conns.emplace_back(connect_tcp(config.target), 1000 + i);
+  const auto first_live = [&conns]() -> Conn* {
+    for (Conn& conn : conns)
+      if (conn.open()) return &conn;
+    return nullptr;
+  };
 
   // Scheduled virtual send time per request: one cumulative hash walk,
   // sharing scheduled_arrival_us's gap law (O(n) total, not O(n^2) calls).
@@ -273,7 +243,6 @@ LoadgenReport run_loadgen(const LoadgenConfig& config) {
   std::size_t next_send = 0;
   bool drain_sent = false;
   std::uint64_t last_drain_us = 0;
-  char buf[16 * 1024];
   Frame frame;
 
   while (true) {
@@ -282,11 +251,11 @@ LoadgenReport run_loadgen(const LoadgenConfig& config) {
     // Send every request whose scheduled time has passed — regardless of
     // outstanding responses (open loop).
     while (next_send < config.requests && pace_us(next_send) <= now_us) {
-      LoadConn& conn = *conns[next_send % conns.size()];
+      Conn& conn = conns[next_send % conns.size()];
       const WireRequest request = make_request(
           config, config.start_index + next_send, schedule[next_send]);
-      if (!conn.dead) {
-        conn.outbuf += encode_request(request);
+      if (conn.open()) {
+        conn.queue(encode_request(request));
         outstanding[request.request_id] = pace_us(next_send);
         ++report.sent;
         CLEAR_OBS_COUNT("loadgen.sent", 1);
@@ -304,20 +273,15 @@ LoadgenReport run_loadgen(const LoadgenConfig& config) {
     // another drain (or the server's idle flush) will release it.
     if (next_send == config.requests && !outstanding.empty() &&
         (!drain_sent || now_us - last_drain_us > 250000)) {
-      bool sent_one = false;
-      for (auto& conn : conns)
-        if (!conn->dead) {
-          conn->outbuf += encode_drain();
-          sent_one = true;
-          break;
-        }
-      if (!sent_one) break;  // Every connection is dead.
+      Conn* live = first_live();
+      if (live == nullptr) break;  // Every connection is dead.
+      live->queue(encode_drain());
       drain_sent = true;
       last_drain_us = now_us;
     }
 
-    for (auto& conn : conns)
-      if (!conn->dead && !conn->outbuf.empty()) flush_conn(*conn);
+    for (Conn& conn : conns)
+      if (conn.pending() && conn.flush().closed) conn.close();
 
     if (outstanding.empty() && next_send == config.requests) break;
     if (now_us > timeout_us) {
@@ -329,12 +293,12 @@ LoadgenReport run_loadgen(const LoadgenConfig& config) {
     // Poll readable; wake in time for the next scheduled send.
     std::vector<pollfd> fds;
     fds.reserve(conns.size());
-    for (auto& conn : conns) {
-      if (conn->dead) continue;
+    for (const Conn& conn : conns) {
+      if (!conn.open()) continue;
       pollfd p{};
-      p.fd = conn->stream.fd();
+      p.fd = conn.fd();
       p.events = POLLIN;
-      if (!conn->outbuf.empty()) p.events |= POLLOUT;
+      if (conn.pending()) p.events |= POLLOUT;
       fds.push_back(p);
     }
     if (fds.empty()) break;
@@ -349,21 +313,11 @@ LoadgenReport run_loadgen(const LoadgenConfig& config) {
     }
     ::poll(fds.data(), fds.size(), wait_ms);
 
-    for (auto& conn : conns) {
-      if (conn->dead) continue;
-      while (true) {
-        const IoResult r = conn->stream.read_some(buf, sizeof(buf));
-        if (r.n > 0) {
-          conn->decoder.feed(buf, r.n);
-          continue;
-        }
-        if (r.closed) {
-          conn->dead = true;
-          conn->stream.close();
-        }
-        break;
-      }
-      while (conn->decoder.next(frame) == DecodeStatus::kFrame) {
+    for (Conn& conn : conns) {
+      if (!conn.open()) continue;
+      // Hang-up rule: every frame that arrived before the close counts.
+      const bool closed = conn.read_available().closed;
+      while (conn.decoder().next(frame) == DecodeStatus::kFrame) {
         if (frame.type == FrameType::kDrainAck) continue;
         CLEAR_CHECK_MSG(frame.type == FrameType::kResponse,
                         "loadgen received unexpected frame type "
@@ -398,22 +352,23 @@ LoadgenReport run_loadgen(const LoadgenConfig& config) {
           captured.push_back(cap);
         }
       }
-      if (!conn->decoder.error().empty())
-        CLEAR_CHECK_MSG(false, "loadgen wire error: " << conn->decoder.error());
+      CLEAR_CHECK_MSG(conn.decoder().error().empty(),
+                      "loadgen wire error: " << conn.decoder().error());
+      if (closed) conn.close();
     }
   }
 
   if (config.shutdown_after) {
-    for (auto& conn : conns) {
-      if (conn->dead) continue;
-      conn->outbuf += encode_shutdown();
-      // Best-effort blocking-ish flush; the server exits once it reads it.
-      set_nonblocking(conn->stream.fd(), false);
-      flush_conn(*conn);
-      break;
+    if (Conn* live = first_live()) {
+      // Best effort within the run's own timeout; the server exits once it
+      // reads the frame.
+      live->queue(encode_shutdown());
+      const std::uint64_t ms = std::min<std::uint64_t>(timeout_us / 1000,
+                                                       INT_MAX);
+      live->write_all(deadline_in(static_cast<int>(ms)));
     }
   }
-  for (auto& conn : conns) conn->stream.close();
+  conns.clear();
 
   if (!config.responses_path.empty())
     write_responses_file(config.responses_path, std::move(captured));

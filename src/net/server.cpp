@@ -1,12 +1,9 @@
 #include "net/server.hpp"
 
 #include <sys/epoll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <vector>
 
 #include "common/error.hpp"
@@ -23,55 +20,33 @@ namespace {
 constexpr std::uint64_t kListenId = 0;
 constexpr std::uint64_t kWakeId = ~0ull;
 
-constexpr std::size_t kReadChunk = 64 * 1024;
-
 }  // namespace
 
 NetServer::NetServer(serve::Server& server, NetServerConfig config)
-    : server_(server), config_(std::move(config)) {
-  listen_fd_ = listen_tcp(config_.listen);
-  port_ = local_port(listen_fd_);
-
+    : server_(server),
+      config_(std::move(config)),
+      listener_(config_.listen, config_.max_connections) {
   epoll_fd_ = ::epoll_create1(0);
   CLEAR_CHECK_MSG(epoll_fd_ >= 0,
                   "epoll_create1 failed: " << std::strerror(errno));
-  CLEAR_CHECK_MSG(::pipe(wake_fds_) == 0,
-                  "pipe failed: " << std::strerror(errno));
-  set_nonblocking(wake_fds_[0], true);
-
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.u64 = kListenId;
-  CLEAR_CHECK_MSG(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) == 0,
-                  "epoll_ctl(listen) failed: " << std::strerror(errno));
+  CLEAR_CHECK_MSG(
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listener_.fd(), &ev) == 0,
+      "epoll_ctl(listen) failed: " << std::strerror(errno));
   ev.data.u64 = kWakeId;
   CLEAR_CHECK_MSG(
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fds_[0], &ev) == 0,
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listener_.wake_fd(), &ev) == 0,
       "epoll_ctl(wake) failed: " << std::strerror(errno));
 
-  if (!config_.port_file.empty()) {
-    std::ofstream out(config_.port_file, std::ios::trunc);
-    CLEAR_CHECK_MSG(out.good(),
-                    "cannot write port file '" << config_.port_file << "'");
-    out << port_ << "\n";
-  }
-  CLEAR_INFO("net: listening on " << config_.listen.host << ":" << port_);
+  listener_.write_port_file(config_.port_file);
+  CLEAR_INFO("net: listening on " << config_.listen.host << ":" << port());
 }
 
-NetServer::~NetServer() {
-  for (auto& [id, conn] : connections_) conn->stream.close();
-  connections_.clear();
-  close_fd(listen_fd_);
-  close_fd(wake_fds_[0]);
-  close_fd(wake_fds_[1]);
-  close_fd(epoll_fd_);
-}
+NetServer::~NetServer() { close_fd(epoll_fd_); }
 
-void NetServer::stop() {
-  // Async-signal-safe wake: one byte through the self-pipe.
-  const char b = 's';
-  [[maybe_unused]] const ssize_t rc = ::write(wake_fds_[1], &b, 1);
-}
+void NetServer::stop() { listener_.stop(); }
 
 void NetServer::run() {
   CLEAR_OBS_SPAN("net.run");
@@ -79,11 +54,11 @@ void NetServer::run() {
   while (true) {
     graveyard_.clear();
     // Drain-on-shutdown: once stopping, stay in the loop only to flush
-    // write buffers; exit when every connection's outbuf is empty.
+    // write queues; exit when every connection's queue is empty.
     if (stopping_) {
       bool pending = false;
       for (auto& [id, conn] : connections_)
-        pending = pending || conn->outpos < conn->outbuf.size();
+        pending = pending || conn->io.pending();
       if (!pending) break;
     }
     int timeout_ms = -1;
@@ -111,9 +86,7 @@ void NetServer::run() {
       const std::uint64_t id = events[i].data.u64;
       const std::uint32_t mask = events[i].events;
       if (id == kWakeId) {
-        char buf[64];
-        while (::read(wake_fds_[0], buf, sizeof(buf)) > 0) {
-        }
+        listener_.clear_wake();
         begin_shutdown();
         continue;
       }
@@ -123,48 +96,31 @@ void NetServer::run() {
       }
       auto it = connections_.find(id);
       if (it == connections_.end()) continue;  // Closed earlier this wake.
-      Connection& conn = *it->second;
-      if (mask & (EPOLLHUP | EPOLLERR)) {
-        close_connection(id, "peer hung up");
-        continue;
-      }
-      if (mask & EPOLLIN) handle_readable(conn);
+      // A hang-up or error is a reason to read, never to close unread.
+      if (mask & (EPOLLIN | EPOLLHUP | EPOLLERR))
+        handle_readable(*it->second);
       // Re-check: handle_readable may have closed the connection.
       auto again = connections_.find(id);
       if (again == connections_.end()) continue;
-      if (mask & EPOLLOUT) handle_writable(*again->second);
+      if (mask & EPOLLOUT) flush(*again->second);
     }
   }
 }
 
 void NetServer::accept_ready() {
-  while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      CLEAR_WARN("net: accept failed: " << std::strerror(errno));
-      return;
-    }
-    if (connections_.size() >= config_.max_connections) {
-      // Refuse at the door: closing immediately is an unambiguous signal,
-      // and cheaper than parsing frames we would shed anyway.
-      ++counters_.rejected;
-      CLEAR_OBS_COUNT("net.rejected", 1);
-      ::close(fd);
-      continue;
-    }
-    set_nonblocking(fd, true);
+  const Listener::Accepted accepted =
+      listener_.accept_ready(connections_.size());
+  counters_.rejected += accepted.rejected;
+  for (const int fd : accepted.fds) {
     const std::uint64_t id = next_conn_id_++;
     auto conn = std::make_unique<Connection>();
+    conn->io = Conn(fd, id);
     conn->id = id;
-    conn->stream = FaultedStream(fd, id);
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.u64 = id;
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
       CLEAR_WARN("net: epoll_ctl(add conn) failed: " << std::strerror(errno));
-      ::close(fd);
       continue;
     }
     connections_.emplace(id, std::move(conn));
@@ -175,50 +131,42 @@ void NetServer::accept_ready() {
 }
 
 void NetServer::handle_readable(Connection& conn) {
-  char buf[kReadChunk];
-  while (true) {
-    const IoResult r = conn.stream.read_some(buf, sizeof(buf));
-    if (r.n > 0) {
-      counters_.bytes_in += r.n;
-      CLEAR_OBS_COUNT("net.bytes_in", static_cast<double>(r.n));
-      conn.decoder.feed(buf, r.n);
-      if (!pump_frames(conn)) {
-        close_connection(conn.id, "framing error");
-        return;
-      }
-      // A frame handler may have started shutdown; stop reading new bytes.
-      if (stopping_) return;
-      continue;
-    }
-    if (r.would_block) return;
-    // Peer is gone (EOF, reset, or injected drop). Bytes buffered past the
-    // last complete frame mean it died mid-request: that request is shed at
-    // the wire — count it with the serve layer's sheds so operators see one
-    // total, plus the net-level counter that says *why*.
-    if (conn.decoder.buffered() > 0) {
-      ++counters_.partial_drops;
-      CLEAR_OBS_COUNT("net.partial_drops", 1);
-      CLEAR_OBS_COUNT("serve.shed", 1);
-      CLEAR_WARN("net: connection " << conn.id << " dropped mid-frame ("
-                                    << conn.decoder.buffered()
-                                    << " bytes past frame "
-                                    << conn.decoder.frames_decoded() << ")");
-    }
-    close_connection(conn.id, "peer closed");
+  const IoResult r = conn.io.read_available();
+  if (r.n > 0) {
+    counters_.bytes_in += r.n;
+    CLEAR_OBS_COUNT("net.bytes_in", static_cast<double>(r.n));
+  }
+  if (!pump_frames(conn)) {
+    close_connection(conn.id, "framing error");
     return;
   }
+  if (!r.closed) return;
+  // Peer is gone (EOF, reset, or injected drop). Bytes buffered past the
+  // last complete frame mean it died mid-request: that request is shed at
+  // the wire — count it with the serve layer's sheds so operators see one
+  // total, plus the net-level counter that says *why*.
+  const FrameDecoder& decoder = conn.io.decoder();
+  if (decoder.buffered() > 0) {
+    ++counters_.partial_drops;
+    CLEAR_OBS_COUNT("net.partial_drops", 1);
+    CLEAR_OBS_COUNT("serve.shed", 1);
+    CLEAR_WARN("net: connection " << conn.id << " dropped mid-frame ("
+                                  << decoder.buffered() << " bytes past frame "
+                                  << decoder.frames_decoded() << ")");
+  }
+  close_connection(conn.id, "peer closed");
 }
 
 bool NetServer::pump_frames(Connection& conn) {
   Frame frame;
+  FrameDecoder& decoder = conn.io.decoder();
   while (true) {
-    const DecodeStatus status = conn.decoder.next(frame);
+    const DecodeStatus status = decoder.next(frame);
     if (status == DecodeStatus::kNeedMore) return true;
     if (status != DecodeStatus::kFrame) {
       ++counters_.decode_errors;
       CLEAR_OBS_COUNT("net.decode_errors", 1);
-      CLEAR_WARN("net: connection " << conn.id << ": "
-                                    << conn.decoder.error());
+      CLEAR_WARN("net: connection " << conn.id << ": " << decoder.error());
       return false;
     }
     ++counters_.frames_in;
@@ -327,7 +275,6 @@ bool NetServer::on_request(Connection& conn, const Frame& frame) {
     request.arrival_us = wire.arrival_us;
   }
   routes_[{request.user_id, request.request_id}] = conn.id;
-  ++conn.submitted;
   server_.submit(std::move(request));
   dispatch_results();
   return true;
@@ -492,49 +439,34 @@ void NetServer::dispatch_results() {
 }
 
 void NetServer::send_frame(Connection& conn, const std::string& frame) {
-  if (!conn.stream.open()) return;
-  conn.outbuf.append(frame);
+  if (!conn.io.open()) return;
+  conn.io.queue(frame);
   ++counters_.frames_out;
   CLEAR_OBS_COUNT("net.frames_out", 1);
   flush(conn);
 }
 
 void NetServer::flush(Connection& conn) {
-  while (conn.outpos < conn.outbuf.size()) {
-    const IoResult r = conn.stream.write_some(conn.outbuf.data() + conn.outpos,
-                                              conn.outbuf.size() - conn.outpos);
-    if (r.n > 0) {
-      conn.outpos += r.n;
-      counters_.bytes_out += r.n;
-      CLEAR_OBS_COUNT("net.bytes_out", static_cast<double>(r.n));
-      continue;
-    }
-    if (r.would_block) break;
-    if (r.closed) {
-      close_connection(conn.id, "peer closed during write");
-      return;
-    }
+  const IoResult r = conn.io.flush();
+  if (r.n > 0) {
+    counters_.bytes_out += r.n;
+    CLEAR_OBS_COUNT("net.bytes_out", static_cast<double>(r.n));
   }
-  if (conn.outpos >= conn.outbuf.size()) {
-    conn.outbuf.clear();
-    conn.outpos = 0;
-  } else if (conn.outpos > conn.outbuf.size() / 2) {
-    conn.outbuf.erase(0, conn.outpos);
-    conn.outpos = 0;
+  if (r.closed) {
+    close_connection(conn.id, "peer closed during write");
+    return;
   }
   update_write_interest(conn);
 }
 
-void NetServer::handle_writable(Connection& conn) { flush(conn); }
-
 void NetServer::update_write_interest(Connection& conn) {
-  if (!conn.stream.open()) return;
-  const bool want = conn.outpos < conn.outbuf.size();
+  if (!conn.io.open()) return;
+  const bool want = conn.io.pending();
   if (want == conn.writable_armed) return;
   epoll_event ev{};
   ev.events = want ? (EPOLLIN | EPOLLOUT) : EPOLLIN;
   ev.data.u64 = conn.id;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.stream.fd(), &ev) == 0)
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.io.fd(), &ev) == 0)
     conn.writable_armed = want;
 }
 
@@ -542,9 +474,9 @@ void NetServer::close_connection(std::uint64_t id, const char* why) {
   const auto it = connections_.find(id);
   if (it == connections_.end()) return;
   Connection& conn = *it->second;
-  if (conn.stream.open()) {
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.stream.fd(), nullptr);
-    conn.stream.close();
+  if (conn.io.open()) {
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.io.fd(), nullptr);
+    conn.io.close();
   }
   CLEAR_DEBUG("net: closing connection " << id << " (" << why << ")");
   graveyard_.push_back(std::move(it->second));

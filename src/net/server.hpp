@@ -72,7 +72,7 @@ class NetServer {
   NetServer(const NetServer&) = delete;
   NetServer& operator=(const NetServer&) = delete;
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_.port(); }
   const NetCounters& counters() const { return counters_; }
 
   /// Run the event loop until a kShutdown frame arrives or stop() is
@@ -85,18 +85,14 @@ class NetServer {
 
  private:
   struct Connection {
-    FaultedStream stream;
-    FrameDecoder decoder;
-    std::string outbuf;
-    std::size_t outpos = 0;
+    Conn io;
     std::uint64_t id = 0;
     bool writable_armed = false;  ///< EPOLLOUT interest currently on.
-    std::uint64_t submitted = 0;  ///< Requests handed to the serve layer.
   };
 
   void accept_ready();
+  /// Read, dispatch every complete frame, then close if the peer is gone.
   void handle_readable(Connection& conn);
-  void handle_writable(Connection& conn);
   /// Decode + dispatch every complete frame buffered on `conn`.
   /// Returns false when the connection must close (framing error).
   bool pump_frames(Connection& conn);
@@ -119,10 +115,8 @@ class NetServer {
   NetServerConfig config_;
   NetCounters counters_;
 
+  Listener listener_;
   int epoll_fd_ = -1;
-  int listen_fd_ = -1;
-  int wake_fds_[2] = {-1, -1};  ///< Self-pipe backing stop().
-  std::uint16_t port_ = 0;
 
   std::uint64_t next_conn_id_ = 1;
   std::map<std::uint64_t, std::unique_ptr<Connection>> connections_;

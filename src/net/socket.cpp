@@ -11,9 +11,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <climits>
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/file.hpp"
+#include "common/logging.hpp"
+#include "common/obs.hpp"
 
 namespace clear::net {
 
@@ -29,6 +33,29 @@ sockaddr_in resolve(const Endpoint& endpoint) {
                                << "' (the net layer binds numeric addresses; "
                                   "use 127.0.0.1 for loopback)");
   return addr;
+}
+
+constexpr std::size_t kReadChunk = 64 * 1024;
+constexpr std::size_t kReadBudget = 16 * kReadChunk;
+
+// Poll `fd` for `events` until `deadline`; false when it passes first. An
+// error or hang-up counts as ready: the next IO call reports it.
+bool wait_ready(int fd, short events, Deadline deadline) {
+  while (true) {
+    int ms = -1;
+    if (deadline != Deadline::max()) {
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+                            deadline - std::chrono::steady_clock::now())
+                            .count();
+      if (left <= 0) return false;
+      ms = static_cast<int>(std::min<std::int64_t>(left, INT_MAX));
+    }
+    pollfd pfd{fd, events, 0};
+    const int rc = ::poll(&pfd, 1, ms);
+    if (rc > 0) return true;
+    CLEAR_CHECK_MSG(rc == 0 || errno == EINTR,
+                    "poll failed: " << std::strerror(errno));
+  }
 }
 
 }  // namespace
@@ -76,75 +103,37 @@ int listen_tcp(const Endpoint& endpoint, int backlog) {
   return fd;
 }
 
-int connect_tcp(const Endpoint& endpoint) {
-  const sockaddr_in addr = resolve(endpoint);
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  CLEAR_CHECK_MSG(fd >= 0, "socket() failed: " << std::strerror(errno));
-  int rc;
-  do {
-    rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    const int err = errno;
-    ::close(fd);
-    CLEAR_CHECK_MSG(false, "connect(" << endpoint.host << ":" << endpoint.port
-                                      << ") failed: " << std::strerror(err));
-  }
-  // Loopback batches of small frames: without TCP_NODELAY, Nagle adds
-  // 40ms-class stalls that would swamp the latency histograms.
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
 int connect_tcp(const Endpoint& endpoint, int timeout_ms) {
-  if (timeout_ms <= 0) return connect_tcp(endpoint);
   const sockaddr_in addr = resolve(endpoint);
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   CLEAR_CHECK_MSG(fd >= 0, "socket() failed: " << std::strerror(errno));
   // Nonblocking connect + poll: the only portable way to put a deadline on
   // connection establishment.
   set_nonblocking(fd, true);
-  int rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                     sizeof(addr));
-  if (rc != 0 && errno != EINPROGRESS && errno != EINTR) {
-    const int err = errno;
+  int err = 0;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    err = errno;
+    if (err == EINPROGRESS || err == EINTR) {
+      if (!wait_ready(fd, POLLOUT, deadline_in(timeout_ms))) {
+        ::close(fd);
+        CLEAR_CHECK_MSG(false, "net.timeout: connect(" << endpoint.host << ":"
+                                                       << endpoint.port
+                                                       << ") timed out after "
+                                                       << timeout_ms << "ms");
+      }
+      socklen_t len = sizeof(err);
+      ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
+    }
+  }
+  if (err != 0) {
     ::close(fd);
     CLEAR_CHECK_MSG(false, "connect(" << endpoint.host << ":" << endpoint.port
                                       << ") failed: " << std::strerror(err));
   }
-  if (rc != 0) {
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = POLLOUT;
-    int pr;
-    do {
-      pr = ::poll(&pfd, 1, timeout_ms);
-    } while (pr < 0 && errno == EINTR);
-    if (pr == 0) {
-      ::close(fd);
-      CLEAR_CHECK_MSG(false, "net.timeout: connect(" << endpoint.host << ":"
-                                                     << endpoint.port
-                                                     << ") timed out after "
-                                                     << timeout_ms << "ms");
-    }
-    if (pr < 0) {
-      const int err = errno;
-      ::close(fd);
-      CLEAR_CHECK_MSG(false,
-                      "poll during connect failed: " << std::strerror(err));
-    }
-    int err = 0;
-    socklen_t len = sizeof(err);
-    ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
-    if (err != 0) {
-      ::close(fd);
-      CLEAR_CHECK_MSG(false, "connect(" << endpoint.host << ":"
-                                        << endpoint.port << ") failed: "
-                                        << std::strerror(err));
-    }
-  }
   set_nonblocking(fd, false);
+  // Loopback batches of small frames: without TCP_NODELAY, Nagle adds
+  // 40ms-class stalls that would swamp the latency histograms.
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return fd;
@@ -195,15 +184,10 @@ IoResult FaultedStream::read_some(void* buf, std::size_t n) {
   do {
     rc = ::recv(fd_, buf, n, 0);
   } while (rc < 0 && errno == EINTR);
-  if (rc > 0) {
+  if (rc > 0)
     result.n = static_cast<std::size_t>(rc);
-  } else if (rc == 0) {
-    result.closed = true;  // Orderly EOF.
-  } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
-    result.would_block = true;
-  } else {
-    result.closed = true;  // ECONNRESET and friends: treat as gone.
-  }
+  else  // EOF, or ECONNRESET and friends: gone. EAGAIN leaves both unset.
+    result.closed = rc == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
   return result;
 }
 
@@ -222,19 +206,147 @@ IoResult FaultedStream::write_some(const void* buf, std::size_t n) {
     // MSG_NOSIGNAL: a dead peer must surface as EPIPE, not kill the process.
     rc = ::send(fd_, buf, attempt, MSG_NOSIGNAL);
   } while (rc < 0 && errno == EINTR);
-  if (rc >= 0) {
+  if (rc >= 0)
     result.n = static_cast<std::size_t>(rc);
-  } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
-    result.would_block = true;
-  } else {
-    result.closed = true;  // EPIPE / ECONNRESET: peer is gone.
-  }
+  else  // EPIPE / ECONNRESET: peer is gone. EAGAIN leaves both unset.
+    result.closed = errno != EAGAIN && errno != EWOULDBLOCK;
   return result;
 }
 
 void FaultedStream::close() {
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;
+}
+
+Deadline deadline_in(int ms) {
+  if (ms <= 0) return Deadline::max();
+  return std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+}
+
+Conn::Conn(int fd, std::uint64_t stream_id) : stream_(fd, stream_id) {
+  set_nonblocking(fd, true);
+}
+
+IoResult Conn::read_available() {
+  char buf[kReadChunk];
+  IoResult total;
+  while (total.n < kReadBudget) {
+    const IoResult r = stream_.read_some(buf, sizeof(buf));
+    if (r.n == 0) {
+      total.closed = r.closed;
+      break;
+    }
+    decoder_.feed(buf, r.n);
+    total.n += r.n;
+  }
+  return total;
+}
+
+IoResult Conn::flush() {
+  IoResult total;
+  while (pending()) {
+    const IoResult r = stream_.write_some(out_.data() + outpos_,
+                                          out_.size() - outpos_);
+    if (r.closed) {
+      total.closed = true;
+      out_.clear();
+      outpos_ = 0;
+      return total;
+    }
+    if (r.n == 0) break;  // Would block: wait for writability.
+    outpos_ += r.n;
+    total.n += r.n;
+  }
+  // The one compaction rule: reset an empty queue; drop the sent prefix
+  // once it is more than half the buffer, so a slow reader costs amortized
+  // O(1) per byte instead of a memmove per flush.
+  if (!pending()) {
+    out_.clear();
+    outpos_ = 0;
+  } else if (outpos_ > out_.size() / 2) {
+    out_.erase(0, outpos_);
+    outpos_ = 0;
+  }
+  return total;
+}
+
+Conn::Status Conn::write_all(Deadline deadline) {
+  while (true) {
+    if (flush().closed) return Status::kClosed;
+    if (!pending()) return Status::kOk;
+    if (!wait_ready(fd(), POLLOUT, deadline)) return Status::kTimeout;
+  }
+}
+
+Conn::Status Conn::next_frame(Frame& out, Deadline deadline) {
+  bool closed = !open();
+  while (true) {
+    const DecodeStatus status = decoder_.next(out);
+    if (status == DecodeStatus::kFrame) return Status::kOk;
+    if (status != DecodeStatus::kNeedMore) return Status::kError;
+    if (closed) return Status::kClosed;
+    if (!wait_ready(fd(), POLLIN, deadline)) return Status::kTimeout;
+    closed = read_available().closed;
+  }
+}
+
+Listener::Listener(const Endpoint& endpoint, std::size_t max_connections)
+    : max_connections_(max_connections) {
+  fd_ = listen_tcp(endpoint);
+  port_ = local_port(fd_);
+  if (::pipe(wake_) != 0) {
+    const int err = errno;
+    close_fd(fd_);
+    CLEAR_CHECK_MSG(false, "pipe failed: " << std::strerror(err));
+  }
+  // Both ends nonblocking: stop() must never block (a full pipe already
+  // holds a wake byte), and clear_wake() reads until empty.
+  set_nonblocking(wake_[0], true);
+  set_nonblocking(wake_[1], true);
+}
+
+Listener::~Listener() {
+  close_fd(fd_);
+  close_fd(wake_[0]);
+  close_fd(wake_[1]);
+}
+
+void Listener::write_port_file(const std::string& path) const {
+  if (!path.empty())
+    write_file_atomic(path, std::to_string(port_) + "\n", nullptr);
+}
+
+void Listener::stop() {
+  const char b = 's';
+  [[maybe_unused]] const ssize_t rc = ::write(wake_[1], &b, 1);
+}
+
+void Listener::clear_wake() {
+  char buf[64];
+  while (::read(wake_[0], buf, sizeof(buf)) > 0) {
+  }
+}
+
+Listener::Accepted Listener::accept_ready(std::size_t live) {
+  Accepted out;
+  while (true) {
+    const int fd = ::accept(fd_, nullptr, nullptr);
+    if (fd < 0) {
+      if (errno == EINTR) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK)
+        CLEAR_WARN("net: accept failed: " << std::strerror(errno));
+      return out;
+    }
+    if (live + out.fds.size() >= max_connections_) {
+      // Refuse at the door: an immediate close is an unambiguous signal,
+      // and cheaper than parsing frames we would shed anyway.
+      ++out.rejected;
+      CLEAR_OBS_COUNT("net.rejected", 1);
+      ::close(fd);
+      continue;
+    }
+    out.fds.push_back(fd);
+  }
 }
 
 }  // namespace clear::net

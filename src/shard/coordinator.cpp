@@ -2,8 +2,6 @@
 
 #include <errno.h>
 #include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -34,69 +32,31 @@ constexpr std::uint64_t kClientStreamBase = 0x434F0000;  // "CO"
 }  // namespace
 
 Coordinator::Coordinator(CoordinatorConfig config)
-    : config_(std::move(config)), ring_(config_.ring) {
+    : config_(std::move(config)),
+      ring_(config_.ring),
+      listener_(config_.listen, config_.max_connections) {
   CLEAR_CHECK_MSG(!config_.shards.empty(),
                   "coordinator needs at least one shard");
-  listen_fd_ = net::listen_tcp(config_.listen);
-  port_ = net::local_port(listen_fd_);
-  if (::pipe(wake_fds_) != 0) {
-    net::close_fd(listen_fd_);
-    listen_fd_ = -1;
-    throw Error("coordinator: pipe() failed");
-  }
-  net::set_nonblocking(wake_fds_[0], true);
-  net::set_nonblocking(wake_fds_[1], true);
-
   shards_.resize(config_.shards.size());
-  try {
-    for (std::size_t i = 0; i < config_.shards.size(); ++i) {
-      Shard& shard = shards_[i];
-      shard.index = i;
-      shard.spec = config_.shards[i];
-      const int fd =
-          net::connect_tcp(shard.spec.endpoint, config_.connect_timeout_ms);
-      net::set_nonblocking(fd, true);
-      shard.stream = net::FaultedStream(fd, kShardStreamBase + i);
-      shard.alive = true;
-      ring_.add_shard(static_cast<std::uint32_t>(i));
-    }
-  } catch (...) {
-    for (Shard& shard : shards_)
-      if (shard.stream.open()) shard.stream.close();
-    net::close_fd(listen_fd_);
-    net::close_fd(wake_fds_[0]);
-    net::close_fd(wake_fds_[1]);
-    throw;
+  for (std::size_t i = 0; i < config_.shards.size(); ++i) {
+    Shard& shard = shards_[i];
+    shard.index = i;
+    shard.spec = config_.shards[i];
+    shard.io = net::Conn(
+        net::connect_tcp(shard.spec.endpoint, config_.connect_timeout_ms),
+        kShardStreamBase + i);
+    shard.alive = true;
+    ring_.add_shard(static_cast<std::uint32_t>(i));
   }
   CLEAR_OBS_GAUGE("coord.shards", static_cast<double>(shards_.size()));
 
-  if (!config_.port_file.empty()) {
-    std::FILE* f = std::fopen(config_.port_file.c_str(), "w");
-    CLEAR_CHECK_MSG(f != nullptr,
-                    "cannot write port file " << config_.port_file);
-    std::fprintf(f, "%u\n", static_cast<unsigned>(port_));
-    std::fclose(f);
-  }
-  CLEAR_INFO("coordinator listening on port " << port_ << " with "
+  // Only now, with every shard reached, does the port file say "ready".
+  listener_.write_port_file(config_.port_file);
+  CLEAR_INFO("coordinator listening on port " << port() << " with "
                                               << shards_.size() << " shards");
 }
 
-Coordinator::~Coordinator() {
-  for (Shard& shard : shards_)
-    if (shard.stream.open()) shard.stream.close();
-  for (auto& [id, client] : clients_)
-    if (client->stream.open()) client->stream.close();
-  if (listen_fd_ >= 0) net::close_fd(listen_fd_);
-  if (wake_fds_[0] >= 0) net::close_fd(wake_fds_[0]);
-  if (wake_fds_[1] >= 0) net::close_fd(wake_fds_[1]);
-}
-
-void Coordinator::stop() {
-  const char byte = 1;
-  // Async-signal-safe: one write, EAGAIN (pipe full) is fine — a pending
-  // wake byte already exists.
-  [[maybe_unused]] const ssize_t n = ::write(wake_fds_[1], &byte, 1);
-}
+void Coordinator::stop() { listener_.stop(); }
 
 void Coordinator::run() {
   const bool beats = config_.heartbeat_ms > 0;
@@ -117,21 +77,20 @@ void Coordinator::run() {
     };
     std::vector<pollfd> fds;
     std::vector<Tag> tags;
-    fds.push_back({wake_fds_[0], POLLIN, 0});
+    fds.push_back({listener_.wake_fd(), POLLIN, 0});
     tags.push_back({0, 0});
-    if (clients_.size() < config_.max_connections) {
-      fds.push_back({listen_fd_, POLLIN, 0});
-      tags.push_back({1, 0});
-    }
+    // Always polled: over the cap, accept_ready() refuses at the door.
+    fds.push_back({listener_.fd(), POLLIN, 0});
+    tags.push_back({1, 0});
     for (Shard& shard : shards_) {
-      if (!shard.alive || !shard.stream.open()) continue;
-      fds.push_back({shard.stream.fd(), POLLIN, 0});
+      if (!shard.alive || !shard.io.open()) continue;
+      fds.push_back({shard.io.fd(), POLLIN, 0});
       tags.push_back({2, shard.index});
     }
     for (auto& [id, client] : clients_) {
       short events = POLLIN;
-      if (client->outpos < client->outbuf.size()) events |= POLLOUT;
-      fds.push_back({client->stream.fd(), events, 0});
+      if (client->io.pending()) events |= POLLOUT;
+      fds.push_back({client->io.fd(), events, 0});
       tags.push_back({3, id});
     }
 
@@ -151,9 +110,7 @@ void Coordinator::run() {
       if (fds[i].revents == 0) continue;
       switch (tags[i].kind) {
         case 0: {
-          char buf[16];
-          while (::read(wake_fds_[0], buf, sizeof buf) > 0) {
-          }
+          listener_.clear_wake();
           if (!stopping_) {
             shutdown_fleet();
             stopping_ = true;
@@ -171,17 +128,10 @@ void Coordinator::run() {
         case 3: {
           const auto it = clients_.find(tags[i].key);
           if (it == clients_.end()) break;  // closed earlier this iteration
-          // Read before honoring a hangup: POLLHUP can arrive together
-          // with the client's final frames (e.g. kShutdown then close)
-          // and closing first would discard them.
-          if (fds[i].revents & POLLIN) handle_client_readable(*it->second);
+          // A hang-up or error is a reason to read, never to close unread.
+          if (fds[i].revents & ~POLLOUT) handle_client_readable(*it->second);
           const auto again = clients_.find(tags[i].key);
           if (again == clients_.end()) break;
-          if (fds[i].revents & (POLLERR | POLLHUP | POLLNVAL) &&
-              !(fds[i].revents & POLLIN)) {
-            close_client(tags[i].key, "hangup");
-            break;
-          }
           if (fds[i].revents & POLLOUT) flush_client(*again->second);
           break;
         }
@@ -194,51 +144,34 @@ void Coordinator::run() {
 // -- Clients ------------------------------------------------------------------
 
 void Coordinator::accept_ready() {
-  while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      CLEAR_WARN("coordinator: accept: " << std::strerror(errno));
-      return;
-    }
-    if (clients_.size() >= config_.max_connections) {
-      net::close_fd(fd);
-      continue;
-    }
-    net::set_nonblocking(fd, true);
+  const net::Listener::Accepted accepted =
+      listener_.accept_ready(clients_.size());
+  counters_.rejected += accepted.rejected;
+  for (const int fd : accepted.fds) {
     auto client = std::make_unique<Client>();
     client->id = next_client_id_++;
-    client->stream = net::FaultedStream(fd, kClientStreamBase + client->id);
+    client->io = net::Conn(fd, kClientStreamBase + client->id);
     clients_.emplace(client->id, std::move(client));
   }
 }
 
 void Coordinator::handle_client_readable(Client& client) {
-  char buf[65536];
-  while (true) {
-    const net::IoResult r = client.stream.read_some(buf, sizeof buf);
-    if (r.n > 0) client.decoder.feed(buf, r.n);
-    if (r.closed) {
-      const std::uint64_t id = client.id;
-      pump_client_frames(client);
-      close_client(id, "peer closed");
-      return;
-    }
-    if (r.would_block) break;
-    if (r.n == 0) break;
-  }
-  if (!pump_client_frames(client)) close_client(client.id, "protocol error");
+  const std::uint64_t id = client.id;
+  const bool closed = client.io.read_available().closed;
+  if (!pump_client_frames(client))
+    close_client(id, "protocol error");
+  else if (closed)
+    close_client(id, "peer closed");
 }
 
 bool Coordinator::pump_client_frames(Client& client) {
   net::Frame frame;
   while (true) {
-    const net::DecodeStatus status = client.decoder.next(frame);
+    const net::DecodeStatus status = client.io.decoder().next(frame);
     if (status == net::DecodeStatus::kNeedMore) return true;
     if (status != net::DecodeStatus::kFrame) {
       CLEAR_WARN("coordinator: client " << client.id << ": "
-                                        << client.decoder.error());
+                                        << client.io.decoder().error());
       return false;
     }
     switch (frame.type) {
@@ -331,49 +264,30 @@ void Coordinator::on_client_drain(Client& client) {
 
 void Coordinator::on_client_shutdown(Client& client) {
   const net::WireDrainAck total = shutdown_fleet();
-  send_to_client(client, net::encode_drain_ack(total));
   // Blocking flush: the ack (and any responses freed by the final drain)
   // must reach the wire before the process exits.
-  while (client.outpos < client.outbuf.size() && client.stream.open()) {
-    pollfd p{client.stream.fd(), POLLOUT, 0};
-    if (::poll(&p, 1, config_.shard_io_timeout_ms) <= 0) break;
-    const net::IoResult r =
-        client.stream.write_some(client.outbuf.data() + client.outpos,
-                                 client.outbuf.size() - client.outpos);
-    if (r.closed) break;
-    client.outpos += r.n;
-  }
+  client.io.queue(net::encode_drain_ack(total));
+  client.io.write_all(net::deadline_in(config_.shard_io_timeout_ms));
   stopping_ = true;
 }
 
 // -- Shards -------------------------------------------------------------------
 
 void Coordinator::handle_shard_readable(Shard& shard) {
-  char buf[65536];
-  while (shard.alive) {
-    const net::IoResult r = shard.stream.read_some(buf, sizeof buf);
-    if (r.n > 0) shard.decoder.feed(buf, r.n);
-    if (r.closed) {
-      shard_died(shard);
-      heal_after_death(shard);
-      return;
-    }
-    if (r.would_block) break;
-    if (r.n == 0) break;
-  }
+  const bool closed = shard.io.read_available().closed;
   net::Frame frame;
-  while (shard.alive) {
-    const net::DecodeStatus status = shard.decoder.next(frame);
-    if (status == net::DecodeStatus::kNeedMore) return;
-    if (status != net::DecodeStatus::kFrame) {
-      CLEAR_WARN("coordinator: shard " << shard.index << ": "
-                                       << shard.decoder.error());
-      shard_died(shard);
-      heal_after_death(shard);
-      return;
-    }
+  net::DecodeStatus status;
+  while ((status = shard.io.decoder().next(frame)) ==
+         net::DecodeStatus::kFrame) {
     on_shard_frame(shard, frame);
   }
+  if (status != net::DecodeStatus::kNeedMore)
+    CLEAR_WARN("coordinator: shard " << shard.index << ": "
+                                     << shard.io.decoder().error());
+  else if (!closed)
+    return;
+  shard_died(shard);
+  heal_after_death(shard);
 }
 
 void Coordinator::on_shard_frame(Shard& shard, const net::Frame& frame) {
@@ -490,19 +404,9 @@ void Coordinator::flush_queue() {
 }
 
 bool Coordinator::send_to_shard(Shard& shard, const std::string& frame) {
-  if (!shard.stream.open()) return false;
-  std::size_t off = 0;
-  while (off < frame.size()) {
-    const net::IoResult r = shard.stream.write_some(frame.data() + off,
-                                                    frame.size() - off);
-    if (r.closed) return false;
-    off += r.n;
-    if (r.would_block || (r.n == 0 && !r.closed)) {
-      pollfd p{shard.stream.fd(), POLLOUT, 0};
-      if (::poll(&p, 1, config_.shard_io_timeout_ms) <= 0) return false;
-    }
-  }
-  return true;
+  shard.io.queue(frame);
+  return shard.io.write_all(net::deadline_in(config_.shard_io_timeout_ms)) ==
+         net::Conn::Status::kOk;
 }
 
 std::optional<net::Frame> Coordinator::transact(Shard& shard,
@@ -513,46 +417,31 @@ std::optional<net::Frame> Coordinator::transact(Shard& shard,
     shard_died(shard);
     return std::nullopt;
   }
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(config_.shard_io_timeout_ms);
+  const net::Deadline deadline =
+      net::deadline_in(config_.shard_io_timeout_ms);
   net::Frame got;
-  char buf[65536];
   while (true) {
-    // Drain buffered frames first: the reply may already be decoded, and
-    // interleaved responses must reach their clients either way.
-    while (true) {
-      const net::DecodeStatus status = shard.decoder.next(got);
-      if (status == net::DecodeStatus::kNeedMore) break;
-      if (status != net::DecodeStatus::kFrame) {
+    // Interleaved responses and pongs are dispatched on the way: they must
+    // reach their clients either way.
+    switch (shard.io.next_frame(got, deadline)) {
+      case net::Conn::Status::kOk:
+        if (got.type == expect) return got;
+        on_shard_frame(shard, got);
+        continue;
+      case net::Conn::Status::kTimeout:
+        CLEAR_WARN("coordinator: shard " << shard.index
+                                         << ": timed out waiting for "
+                                         << net::frame_type_name(expect));
+        break;
+      case net::Conn::Status::kError:
         CLEAR_WARN("coordinator: shard " << shard.index << ": "
-                                         << shard.decoder.error());
-        shard_died(shard);
-        return std::nullopt;
-      }
-      if (got.type == expect) return got;
-      on_shard_frame(shard, got);
+                                         << shard.io.decoder().error());
+        break;
+      case net::Conn::Status::kClosed:
+        break;
     }
-    const int remain = ms_until(deadline);
-    if (remain <= 0) {
-      CLEAR_WARN("coordinator: shard " << shard.index << ": timed out waiting "
-                                       << "for " << net::frame_type_name(
-                                              expect));
-      shard_died(shard);
-      return std::nullopt;
-    }
-    pollfd p{shard.stream.fd(), POLLIN, 0};
-    const int rc = ::poll(&p, 1, remain);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      throw Error(std::string("coordinator: poll: ") + std::strerror(errno));
-    }
-    if (rc == 0) continue;  // re-check the deadline
-    const net::IoResult r = shard.stream.read_some(buf, sizeof buf);
-    if (r.n > 0) shard.decoder.feed(buf, r.n);
-    if (r.closed) {
-      shard_died(shard);
-      return std::nullopt;
-    }
+    shard_died(shard);
+    return std::nullopt;
   }
 }
 
@@ -560,7 +449,7 @@ std::optional<net::Frame> Coordinator::transact(Shard& shard,
 
 void Coordinator::heartbeat_tick() {
   for (Shard& shard : shards_) {
-    if (!shard.alive || !shard.stream.open()) continue;
+    if (!shard.alive || !shard.io.open()) continue;
     if (shard.awaiting_pong) {
       ++shard.misses;
       ++counters_.heartbeats_missed;
@@ -591,7 +480,7 @@ void Coordinator::shard_died(Shard& shard) {
   shard.draining = false;
   shard.drain_acked = false;
   shard.awaiting_pong = false;
-  if (shard.stream.open()) shard.stream.close();
+  shard.io.close();
   if (ring_.contains(static_cast<std::uint32_t>(shard.index)))
     ring_.remove_shard(static_cast<std::uint32_t>(shard.index));
   ++counters_.shard_deaths;
@@ -611,7 +500,7 @@ void Coordinator::heal_after_death(Shard& dead) {
   while (true) {
     Shard* survivor = nullptr;
     for (Shard& s : shards_)
-      if (s.alive && s.stream.open()) {
+      if (s.alive && s.io.open()) {
         survivor = &s;
         break;
       }
@@ -785,7 +674,7 @@ void Coordinator::finish_decommission(Shard& shard) {
   if (shard.alive) {
     shard.alive = false;
     shard.draining = false;
-    if (shard.stream.open()) shard.stream.close();
+    shard.io.close();
   }
   decommission_done_ = true;
   std::size_t live = 0;
@@ -842,7 +731,7 @@ net::WireDrainAck Coordinator::shutdown_fleet() {
       CLEAR_WARN("coordinator: shard " << shard.index
                                        << " did not acknowledge shutdown");
     shard.alive = false;
-    if (shard.stream.open()) shard.stream.close();
+    shard.io.close();
   }
   CLEAR_OBS_GAUGE("coord.shards", 0.0);
   return total;
@@ -851,31 +740,20 @@ net::WireDrainAck Coordinator::shutdown_fleet() {
 // -- Client IO ----------------------------------------------------------------
 
 void Coordinator::send_to_client(Client& client, const std::string& frame) {
-  client.outbuf.append(frame);
+  client.io.queue(frame);
   flush_client(client);
 }
 
 void Coordinator::flush_client(Client& client) {
-  while (client.outpos < client.outbuf.size()) {
-    const net::IoResult r =
-        client.stream.write_some(client.outbuf.data() + client.outpos,
-                                 client.outbuf.size() - client.outpos);
-    if (r.closed) {
-      close_client(client.id, "peer closed while writing");
-      return;
-    }
-    if (r.would_block) return;
-    client.outpos += r.n;
-  }
-  client.outbuf.clear();
-  client.outpos = 0;
+  if (client.io.flush().closed)
+    close_client(client.id, "peer closed while writing");
 }
 
 void Coordinator::close_client(std::uint64_t id, const char* why) {
   const auto it = clients_.find(id);
   if (it == clients_.end()) return;
   CLEAR_DEBUG("coordinator: closing client " << id << " (" << why << ")");
-  if (it->second->stream.open()) it->second->stream.close();
+  it->second->io.close();
   graveyard_.push_back(std::move(it->second));
   clients_.erase(it);
 }

@@ -92,6 +92,7 @@ struct CoordinatorCounters {
   std::uint64_t adopted_sessions = 0;   ///< Sessions recovered by adoption.
   std::uint64_t migrations = 0;         ///< Sessions moved shard-to-shard.
   std::uint64_t migrations_failed = 0;  ///< Sessions lost in migration.
+  std::uint64_t rejected = 0;  ///< Clients refused at max_connections.
 };
 
 class Coordinator {
@@ -100,12 +101,11 @@ class Coordinator {
   /// immediately (so port() is valid before run(), and a missing shard
   /// fails fast). Throws clear::Error when a shard cannot be reached.
   explicit Coordinator(CoordinatorConfig config);
-  ~Coordinator();
 
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_.port(); }
   const CoordinatorCounters& counters() const { return counters_; }
 
   /// Run the event loop until a client kShutdown frame arrives or stop()
@@ -119,8 +119,7 @@ class Coordinator {
   struct Shard {
     std::size_t index = 0;
     ShardSpec spec;
-    net::FaultedStream stream;
-    net::FrameDecoder decoder;
+    net::Conn io;
     bool alive = false;
     bool draining = false;  ///< Decommission drain in flight; traffic queues.
     /// Drain ack received while draining; the main loop (never a nested
@@ -138,10 +137,7 @@ class Coordinator {
   };
 
   struct Client {
-    net::FaultedStream stream;
-    net::FrameDecoder decoder;
-    std::string outbuf;
-    std::size_t outpos = 0;
+    net::Conn io;
     std::uint64_t id = 0;
   };
 
@@ -152,6 +148,7 @@ class Coordinator {
   };
 
   void accept_ready();
+  /// Read, dispatch every complete frame, then close if the peer is gone.
   void handle_client_readable(Client& client);
   bool pump_client_frames(Client& client);
   bool on_client_request(Client& client, const net::Frame& frame);
@@ -175,8 +172,8 @@ class Coordinator {
   bool forward_to_shard(Shard& shard, const std::string& frame);
   void flush_queue();
 
-  /// Blocking write of fully-encoded frame bytes to a shard (polls for
-  /// writability). Returns false when the shard died mid-write.
+  /// Blocking write of fully-encoded frame bytes to a shard, within
+  /// shard_io_timeout_ms. Returns false when the shard died or stalled.
   bool send_to_shard(Shard& shard, const std::string& frame);
   /// Send `frame` and wait for a reply of type `expect`, dispatching any
   /// interleaved asynchronous frames (responses, pongs) along the way.
@@ -205,10 +202,7 @@ class Coordinator {
   CoordinatorCounters counters_;
   HashRing ring_;
   std::vector<Shard> shards_;
-
-  int listen_fd_ = -1;
-  int wake_fds_[2] = {-1, -1};
-  std::uint16_t port_ = 0;
+  net::Listener listener_;
 
   std::uint64_t next_client_id_ = 1;
   std::map<std::uint64_t, std::unique_ptr<Client>> clients_;

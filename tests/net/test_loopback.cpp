@@ -16,6 +16,7 @@
 
 #include "clear/pipeline.hpp"
 #include "common/parallel.hpp"
+#include "loop_thread.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "serve/server.hpp"
@@ -266,6 +267,24 @@ TEST(Loopback, ServerRejectsWrongGeometryMapsWithoutDying) {
   server_thread.join();
   EXPECT_EQ(net_server.counters().decode_errors, 1u);
   EXPECT_EQ(net_server.counters().accepted, 2u);
+}
+
+// The hang-up rule: a kShutdown with the peer's RST right behind it must
+// still stop the server. The raw socket connects before run() starts, so the
+// frame and the reset are both queued when the loop first looks at it.
+TEST(Loopback, ShutdownAheadOfAResetStillStopsTheServer) {
+  serve::Server server(fixture().source, quick_serve_config());
+  NetServerConfig nc;
+  nc.listen.port = 0;
+  nc.idle_flush_ms = 0;
+  NetServer net_server(server, nc);
+  send_shutdown_then_reset(net_server.port());
+  LoopThread loop([&net_server] { net_server.run(); },
+                  [&net_server] { net_server.stop(); });
+  EXPECT_TRUE(loop.returned_within(std::chrono::seconds(10)))
+      << "run() ignored a shutdown that arrived ahead of a reset";
+  EXPECT_EQ(net_server.counters().frames_in, 1u);
+  EXPECT_EQ(net_server.counters().partial_drops, 0u);
 }
 
 }  // namespace

@@ -1,25 +1,32 @@
 // Shard-coordination frames over a real loopback socket: ping/pong
 // liveness (including the injected heartbeat drop), session export /
 // import handoff, and journal adoption — the wire mechanics the
-// coordinator (src/shard) drives during rebalances and crash healing.
+// coordinator (src/shard) drives during rebalances and crash healing —
+// plus the coordinator itself in process, in front of one shard: byte-equal
+// forwarding, shutdown, the hang-up rule and the connection cap.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "artifact/store.hpp"
 #include "clear/pipeline.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "loop_thread.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "serve/journal.hpp"
 #include "serve/server.hpp"
+#include "shard/coordinator.hpp"
 #include "wemac/dataset.hpp"
 
 namespace clear::net {
@@ -90,16 +97,19 @@ struct WireHarness {
   NetServer net_server;
   std::thread thread;
 
-  explicit WireHarness(const serve::ServeConfig& sc)
-      : server(fixture().source, sc), net_server(server, make_net_config()) {
+  explicit WireHarness(const serve::ServeConfig& sc,
+                       std::size_t max_connections = 64)
+      : server(fixture().source, sc),
+        net_server(server, make_net_config(max_connections)) {
     if (!sc.journal.directory.empty()) server.open_journal();
     thread = std::thread([this] { net_server.run(); });
   }
 
-  static NetServerConfig make_net_config() {
+  static NetServerConfig make_net_config(std::size_t max_connections) {
     NetServerConfig nc;
     nc.listen.port = 0;
     nc.idle_flush_ms = 0;
+    nc.max_connections = max_connections;
     return nc;
   }
 
@@ -374,6 +384,153 @@ TEST(ShardFrames, MetricsPullReturnsJson) {
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   client.send_shutdown();
+}
+
+// -- The coordinator in process ---------------------------------------------
+
+constexpr ClientDeadlines kDeadlines{0, 10000};
+constexpr std::chrono::seconds kLoopDeadline{10};
+
+shard::CoordinatorConfig coordinator_config(std::uint16_t shard_port) {
+  shard::CoordinatorConfig cc;
+  cc.listen.port = 0;
+  cc.shards.push_back({Endpoint{"127.0.0.1", shard_port}, ""});
+  cc.heartbeat_ms = 0;  // Liveness off: the frame sequence is the test's.
+  return cc;
+}
+
+/// Three users, eight requests each, interleaved in arrival order; the
+/// labels on requests 2 and 3 carry every session into PERSONALIZED.
+std::vector<WireRequest> replay_stream() {
+  std::vector<WireRequest> stream;
+  std::uint64_t t = 0;
+  for (std::uint64_t i = 0; i < 8; ++i)
+    for (std::uint64_t user = 1; user <= 3; ++user) {
+      std::optional<int> label;
+      if (i == 2) label = 0;
+      if (i == 3) label = 1;
+      stream.push_back(wire_req(user, i, t += 1000, label));
+    }
+  return stream;
+}
+
+using ResponseBytes = std::map<std::pair<std::uint64_t, std::uint64_t>,
+                               std::string>;
+
+/// Send `stream` and one drain; collect every response's payload bytes by
+/// (user, request) and the drain's ack, in whatever order they come.
+ResponseBytes replay(BlockingClient& client,
+                     const std::vector<WireRequest>& stream) {
+  for (const WireRequest& r : stream) client.send_request(r);
+  client.send_drain();
+  ResponseBytes out;
+  bool acked = false;
+  Frame frame;
+  while (out.size() < stream.size() || !acked) {
+    if (!client.recv_frame(frame)) {
+      ADD_FAILURE() << "connection closed after " << out.size()
+                    << " responses";
+      break;
+    }
+    if (frame.type == FrameType::kDrainAck) {
+      acked = true;
+      continue;
+    }
+    EXPECT_EQ(frame.type, FrameType::kResponse);
+    WireResponse r;
+    std::string error;
+    EXPECT_TRUE(parse_response(frame, r, error)) << error;
+    out[{r.user_id, r.request_id}] = frame.payload;
+  }
+  return out;
+}
+
+TEST(ShardFrames, CoordinatorForwardsByteEqualResponsesAndShutsTheFleet) {
+  const std::vector<WireRequest> stream = replay_stream();
+
+  WireDrainAck direct_ack;
+  ResponseBytes direct;
+  {
+    WireHarness shard(shard_serve_config());
+    BlockingClient client({"127.0.0.1", shard.net_server.port()}, 1,
+                          kDeadlines);
+    direct = replay(client, stream);
+    client.send_shutdown();
+    ASSERT_TRUE(client.recv_drain_ack(direct_ack));
+  }
+  ASSERT_EQ(direct.size(), stream.size());
+
+  WireHarness shard(shard_serve_config());
+  shard::Coordinator coord(coordinator_config(shard.net_server.port()));
+  LoopThread loop([&coord] { coord.run(); }, [&coord] { coord.stop(); });
+  BlockingClient client({"127.0.0.1", coord.port()}, 1, kDeadlines);
+  EXPECT_EQ(replay(client, stream), direct);
+
+  // The shutdown ack sums the fleet's drain acks: with one shard, exactly
+  // what that shard reported straight.
+  client.send_shutdown();
+  WireDrainAck ack;
+  ASSERT_TRUE(client.recv_drain_ack(ack));
+  EXPECT_EQ(ack.requests, stream.size());
+  EXPECT_EQ(ack.requests, direct_ack.requests);
+  EXPECT_EQ(ack.ok, direct_ack.ok);
+  EXPECT_EQ(ack.shed, direct_ack.shed);
+  EXPECT_TRUE(loop.returned_within(kLoopDeadline));
+  shard.thread.join();  // The fleet shutdown stopped the shard too.
+  EXPECT_EQ(coord.counters().requests, stream.size());
+  EXPECT_EQ(coord.counters().responses, stream.size());
+  EXPECT_EQ(shard.net_server.counters().decode_errors, 0u);
+}
+
+TEST(ShardFrames, CoordinatorStopsOnAShutdownAheadOfAReset) {
+  WireHarness shard(shard_serve_config());
+  shard::Coordinator coord(coordinator_config(shard.net_server.port()));
+  send_shutdown_then_reset(coord.port());
+  LoopThread loop([&coord] { coord.run(); }, [&coord] { coord.stop(); });
+  EXPECT_TRUE(loop.returned_within(kLoopDeadline))
+      << "run() ignored a shutdown that arrived ahead of a reset";
+}
+
+// --max-connections=1: a peer arriving once the first is being served is
+// accepted and closed at once, so it reads EOF (not a timeout), and the
+// first connection keeps working.
+TEST(ShardFrames, NetServerCapClosesTheExtraConnection) {
+  WireHarness h(shard_serve_config(), /*max_connections=*/1);
+  BlockingClient first({"127.0.0.1", h.net_server.port()}, 1, kDeadlines);
+  EXPECT_EQ(replay(first, {wire_req(1, 0, 1000)}).size(), 1u);
+  BlockingClient second({"127.0.0.1", h.net_server.port()}, 2, kDeadlines);
+  Frame frame;
+  EXPECT_FALSE(second.recv_frame(frame));
+  EXPECT_EQ(replay(first, {wire_req(1, 1, 2000)}).size(), 1u);
+
+  first.send_shutdown();
+  WireDrainAck ack;
+  ASSERT_TRUE(first.recv_drain_ack(ack));
+  EXPECT_EQ(ack.requests, 2u);
+  h.thread.join();
+  EXPECT_EQ(h.net_server.counters().rejected, 1u);
+  EXPECT_EQ(h.net_server.counters().accepted, 1u);
+}
+
+TEST(ShardFrames, CoordinatorCapClosesTheExtraConnection) {
+  WireHarness shard(shard_serve_config());
+  shard::CoordinatorConfig cc = coordinator_config(shard.net_server.port());
+  cc.max_connections = 1;
+  shard::Coordinator coord(cc);
+  LoopThread loop([&coord] { coord.run(); }, [&coord] { coord.stop(); });
+  BlockingClient first({"127.0.0.1", coord.port()}, 1, kDeadlines);
+  EXPECT_EQ(replay(first, {wire_req(1, 0, 1000)}).size(), 1u);
+  BlockingClient second({"127.0.0.1", coord.port()}, 2, kDeadlines);
+  Frame frame;
+  EXPECT_FALSE(second.recv_frame(frame));
+  EXPECT_EQ(replay(first, {wire_req(1, 1, 2000)}).size(), 1u);
+
+  first.send_shutdown();
+  WireDrainAck ack;
+  ASSERT_TRUE(first.recv_drain_ack(ack));
+  EXPECT_EQ(ack.requests, 2u);
+  EXPECT_TRUE(loop.returned_within(kLoopDeadline));
+  EXPECT_EQ(coord.counters().rejected, 1u);
 }
 
 }  // namespace

@@ -78,8 +78,14 @@ run_asan() {
     test_formats
   export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
   export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
+  # Under `timeout`: a hung event loop fails the leg in minutes (the whole
+  # suite takes seconds). The socket suites then run five times over, since
+  # a lost hang-up once hung 2 runs in 6.
   echo "== test_net (ASAN, full wire suite: fuzzed decode, loopback, faults) =="
-  "$dir/tests/test_net"
+  timeout 300 "$dir/tests/test_net"
+  echo "== test_net (ASAN, socket suites x5: loopback, faults, coordinator) =="
+  timeout 300 "$dir/tests/test_net" --gtest_repeat=5 \
+    --gtest_filter='Loopback*:NetFault*:ShardFrames*'
   echo "== test_fault (ASAN) =="
   "$dir/tests/test_fault"
   echo "== test_serve (ASAN, torn/corrupt journal tails + recovery) =="
